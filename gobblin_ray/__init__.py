@@ -22,34 +22,3 @@ Nothing here calls ``ray.init()``; sessions are owned by the caller
 
 __version__ = "0.1.0"
 
-
-def _tune_memory_retention() -> None:
-    """Opt-in (GOBBLIN_RAY_MEMTUNE=1): keep freed heap pages resident.
-
-    Investigated for this sandbox's ~5 MB/s cold-page faulting; measured
-    HARMFUL in steady state (worker RSS ratchets up and every new
-    high-water page faults cold: replay passes degraded 51→168 s with it,
-    stayed flat ~31-37 s without), so it is OFF by default and kept only
-    as a documented experiment switch.
-    """
-    import os
-
-    if not os.environ.get("GOBBLIN_RAY_MEMTUNE"):
-        return
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        libc.mallopt(ctypes.c_int(-1), ctypes.c_int(2**31 - 1))  # M_TRIM_THRESHOLD
-        libc.mallopt(ctypes.c_int(-3), ctypes.c_int(2**30))  # M_MMAP_THRESHOLD
-    except Exception:
-        pass
-    try:
-        import pyarrow as pa
-
-        pa.jemalloc_set_decay_ms(-1)  # retain freed Arrow buffers
-    except Exception:
-        pass
-
-
-_tune_memory_retention()

@@ -28,11 +28,12 @@ raise ``num_buckets``, not the block size.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -40,8 +41,8 @@ import pyarrow.parquet as pq
 from . import checkpoint as ckpt
 from . import plan as planmod
 from .checkpoint import BucketState, CheckpointStore, Manifest
-from .merge import live_rows, lww_reduce, merge_base_with_events
-from .schema import (OPS, PAGES_SCHEMA, apply_renames, conform,
+from .merge import live_rows, lww_reduce, merge_base_with_events, merge_bases
+from .schema import (OPS, apply_renames, conform,
                      rename_schema, schema_fingerprint, unify_additive)
 
 _ERR_COL = "_err"
@@ -409,8 +410,6 @@ class _MergeBucket:
     def __call__(self, group: pa.Table) -> pa.Table:
         import time as _time
 
-        from .merge import merge_bases
-
         _m0 = _time.time()
         bucket = int(group.column(_BUCKET_COL)[0].as_py())
         err_mask = pc.is_valid(group.column(_ERR_COL))
@@ -471,6 +470,89 @@ class _MergeBucket:
         )
 
 
+def _load_bucket(files: list[str], schema: pa.Schema, renames: dict[str, str],
+                 columns: list[str] | None = None, filters=None) -> pa.Table:
+    """One bucket's state: read its base + delta files, map stored column
+    names to current ones (``renames``), LWW-merge them into one base-form
+    table conformed to ``schema``. Tombstones are KEPT — readers drop them
+    with ``live_rows``, rewrites must keep them so late events still lose.
+
+    ``columns``: prune every scan to these CURRENT names. Rename-aware:
+    each file's footer maps current names back to its stored names by the
+    same skip-if-target-present rule as ``apply_renames``. ``filters``:
+    pyarrow row filters pushed into every scan — only sound on the url
+    key, because the merge is per-url independent."""
+
+    def read(path: str) -> pa.Table:
+        if columns is None:
+            return apply_renames(pq.read_table(path, filters=filters), renames)
+        avail = pq.read_schema(path).names
+        present = set(avail)
+
+        def current(n: str) -> str:
+            t = renames.get(n)
+            return t if t is not None and t not in present else n
+
+        stored = [n for n in avail if current(n) in columns]
+        return apply_renames(
+            pq.read_table(path, columns=stored, filters=filters), renames)
+
+    return merge_bases([read(p) for p in files], schema)
+
+
+def _probe(files: list[str], wanted: list[str], schema: pa.Schema,
+           renames: dict[str, str]) -> pa.Table:
+    """``lookup_urls``' per-bucket task: the live rows of ``wanted``."""
+    return live_rows(_load_bucket(files, schema, renames,
+                                  filters=[("url", "in", wanted)]))
+
+
+@functools.cache
+def _probe_task():
+    """``_probe`` as a Ray task named ``probe``, registered once per
+    process (ray is imported lazily: metadata-only commands never load
+    it)."""
+    import ray
+
+    return ray.remote(num_cpus=1)(_probe).options(name="probe")
+
+
+def _match_sorted(ou: np.ndarray, nu: np.ndarray):
+    """Match the urls of two url-sorted, url-unique arrays (one bucket's
+    old and new live state) by binary search. Returns ``(insert, gone,
+    common, old_of_common)``: the positions in ``nu`` absent from ``ou``,
+    the positions in ``ou`` absent from ``nu``, the positions in ``nu``
+    present in ``ou``, and the ``ou`` position of each of those."""
+    pos = np.searchsorted(ou, nu)
+    hit = pos < len(ou)
+    hit[hit] = ou[pos[hit]] == nu[hit]
+    common = np.flatnonzero(hit)
+    old_of_common = pos[common]
+    in_new = np.zeros(len(ou), dtype=bool)
+    in_new[old_of_common] = True
+    return (np.flatnonzero(~hit), np.flatnonzero(~in_new), common,
+            old_of_common)
+
+
+def _live_hits(t: pa.Table, predicate) -> tuple[pa.Array, int]:
+    """Row mask of the predicate DML over one bucket's merged state: the
+    LIVE rows ``predicate`` selects (tombstones carry only LWW identity
+    and are never updated or deleted), and how many there are."""
+    live = pc.invert(pc.fill_null(t.column("is_deleted"), False))
+    hit = pc.fill_null(pc.cast(predicate(t), pa.bool_()), False)
+    mask = pc.and_(hit, live)
+    if isinstance(mask, pa.ChunkedArray):
+        mask = mask.combine_chunks()
+    return mask, int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
+
+
+# lineage row of one rewritten bucket (CdcEngine._rewrite_buckets)
+_REWRITE_LINEAGE = pa.schema([
+    ("bucket", pa.int32()), ("rows", pa.int64()), ("count", pa.int64()),
+    ("staged", pa.bool_()),
+])
+
+
 class CdcEngine:
     """Driver for one lake (one logical table)."""
 
@@ -499,6 +581,19 @@ class CdcEngine:
         if seed is not None:
             for k, v in seed.metrics.items():
                 self.metrics.counter(k).inc(int(v))
+
+    def _job_lock(self):
+        """The lake's job lock (FileBasedJobLock analog) when
+        ``cfg.job_lock`` is set, else a no-op context. Every command that
+        commits a manifest holds it: two writers would both commit
+        ``epoch + 1`` and one manifest would silently replace the other."""
+        from contextlib import nullcontext
+
+        from .locks import FileJobLock
+
+        if not self.cfg.job_lock:
+            return nullcontext()
+        return FileJobLock(os.path.join(self.lake_dir, "_locks"))
 
     # ---------------- bootstrap (epoch 0: snapshot load) ----------------
 
@@ -1165,11 +1260,7 @@ class CdcEngine:
         self, max_epochs: int | None = None, vacuum: bool = True
     ) -> list[EpochReport]:
         """Replay under the job lock (see ``_run_impl`` for semantics)."""
-        if not self.cfg.job_lock:
-            return self._run_impl(max_epochs, vacuum)
-        from .locks import FileJobLock
-
-        with FileJobLock(os.path.join(self.lake_dir, "_locks")):
+        with self._job_lock():
             return self._run_impl(max_epochs, vacuum)
 
     def _run_impl(
@@ -1362,13 +1453,7 @@ class CdcEngine:
         # The tailer holds the job lock for its WHOLE lifetime, not per
         # drain — a competing batch driver must not interleave with an
         # active tailer between polls.
-        lock = None
-        if self.cfg.job_lock:
-            from .locks import FileJobLock
-
-            lock = FileJobLock(os.path.join(self.lake_dir, "_locks"))
-            lock.acquire()
-        try:
+        with self._job_lock():
             reports: list[EpochReport] = []
             empty_polls = 0
             while True:
@@ -1392,9 +1477,6 @@ class CdcEngine:
             if reports:
                 ckpt.vacuum(self.lake_dir, self.store.latest())
             return reports
-        finally:
-            if lock is not None:
-                lock.release()
 
     # ---------------- readers ----------------
 
@@ -1560,29 +1642,12 @@ class CdcEngine:
                 raise ValueError(f"unknown columns {unknown}; have {schema.names}")
             need = list(dict.fromkeys(want + identity))
             schema = pa.schema([schema.field(c) for c in need])
-
-        def _read_pruned(path: str) -> pa.Table:
-            if columns is None:
-                return apply_renames(pq.read_table(path), ren)
-            avail = pq.read_schema(path).names
-            present = set(avail)
-
-            def current(n: str) -> str:
-                t = ren.get(n)  # same skip-if-target-present rule as
-                return t if t is not None and t not in present else n
-
-            stored = [n for n in avail if current(n) in schema.names]
-            return apply_renames(pq.read_table(path, columns=stored), ren)
+        scan_cols = None if columns is None else schema.names
 
         def load_merge(batch: pa.Table) -> pa.Table:
-            from .merge import merge_bases
-
             out = []
             for files in batch.column("files").to_pylist():
-                merged = merge_bases(
-                    [_read_pruned(p) for p in files], schema,
-                )
-                live = live_rows(merged)
+                live = live_rows(_load_bucket(files, schema, ren, scan_cols))
                 if lo_us is not None or hi_us is not None:
                     ts = live.column("warc_ts").cast(pa.int64())
                     mask = None
@@ -1637,8 +1702,6 @@ class CdcEngine:
         back by key to assert state)."""
         import ray
 
-        from .merge import merge_bases
-
         manifest = manifest or self.store.latest()
         if manifest is None:
             raise ValueError("lookup_urls needs a bootstrapped lake")
@@ -1653,21 +1716,10 @@ class CdcEngine:
         for u, b in zip(uniq, owner):
             by_bucket.setdefault(int(b), []).append(u)
         file_map = self.bucket_file_map(manifest)
-
         ren = dict(manifest.column_renames)
-
-        @ray.remote(num_cpus=1)
-        def probe(files: list[str], wanted: list[str]) -> pa.Table:
-            parts = [
-                apply_renames(
-                    pq.read_table(p, filters=[("url", "in", wanted)]), ren
-                )
-                for p in files
-            ]
-            return live_rows(merge_bases(parts, schema))
-
+        probe = _probe_task()
         refs = [
-            probe.remote(file_map[b], wanted)
+            probe.remote(file_map[b], wanted, schema, ren)
             for b, wanted in sorted(by_bucket.items())
             if file_map.get(b)
         ]
@@ -1708,13 +1760,11 @@ class CdcEngine:
         if overrides:
             raise TypeError(f"unknown overrides {sorted(overrides)}")
         for b, s in m.buckets.items():
-            manifest.buckets[b] = BucketState(
-                bucket=b, high_seq=s.high_seq, base_epoch=s.base_epoch,
-                rows=s.rows, events_applied=s.events_applied,
-                events_epoch=0,  # a DDL applies no events
-                delta_epochs=list(s.delta_epochs),
-                delta_rows=s.delta_rows,
-            )
+            # a DDL applies no events and rewrites no file: the per-file
+            # zone map (ts_ranges) still describes the same files
+            manifest.buckets[b] = dataclasses.replace(
+                s, events_epoch=0, merge_sec=0.0, salt_carry=0,
+                delta_epochs=list(s.delta_epochs))
         return manifest
 
     def drop_column(self, name: str) -> "Manifest":
@@ -1733,13 +1783,7 @@ class CdcEngine:
         later add is a FRESH column with no history, exactly Iceberg's
         re-add semantics. Identity columns protected; admin DDL, bypasses
         the passive registry gate. Takes the job lock."""
-        from contextlib import nullcontext
-
-        from .locks import FileJobLock
-
-        lock = (FileJobLock(os.path.join(self.lake_dir, "_locks"))
-                if self.cfg.job_lock else nullcontext())
-        with lock:
+        with self._job_lock():
             m = self.store.latest()
             if m is None:
                 raise ValueError("drop_column needs a bootstrapped lake")
@@ -1793,13 +1837,7 @@ class CdcEngine:
         files correctly untouched. An explicit admin DDL operation, so it
         bypasses ``schema_compat_mode`` (the registry gate governs
         passive, data-driven evolution). Takes the job lock."""
-        from contextlib import nullcontext
-
-        from .locks import FileJobLock
-
-        lock = (FileJobLock(os.path.join(self.lake_dir, "_locks"))
-                if self.cfg.job_lock else nullcontext())
-        with lock:
+        with self._job_lock():
             m = self.store.latest()
             if m is None:
                 raise ValueError("rename_column needs a bootstrapped lake")
@@ -1856,17 +1894,12 @@ class CdcEngine:
         (constraints.py's posture note). Takes the job lock."""
         import re as _re
 
-        from contextlib import nullcontext
-
         from .constraints import _ok_mask, validate_spec
-        from .locks import FileJobLock
 
         if not _re.match(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$", name or ""):
             raise ValueError(f"invalid constraint name {name!r}")
         spec = validate_spec(spec)
-        lock = (FileJobLock(os.path.join(self.lake_dir, "_locks"))
-                if self.cfg.job_lock else nullcontext())
-        with lock:
+        with self._job_lock():
             m = self.store.latest()
             if m is None:
                 raise ValueError("add_constraint needs a bootstrapped lake")
@@ -1907,13 +1940,7 @@ class CdcEngine:
     def drop_constraint(self, name: str) -> "Manifest":
         """Drop a persisted constraint (metadata-only; quarantined rows
         stay in ``_errors/`` and become redrivable). Takes the job lock."""
-        from contextlib import nullcontext
-
-        from .locks import FileJobLock
-
-        lock = (FileJobLock(os.path.join(self.lake_dir, "_locks"))
-                if self.cfg.job_lock else nullcontext())
-        with lock:
+        with self._job_lock():
             m = self.store.latest()
             if m is None or name not in m.constraints:
                 have = sorted(m.constraints) if m else []
@@ -1946,90 +1973,85 @@ class CdcEngine:
         promote skips existing files."""
         import ray.data as rd
 
-        from .merge import merge_bases
+        with self._job_lock():
+            m = self.store.latest()
+            if m is None:
+                raise ValueError("rebucket needs a bootstrapped lake")
+            if new_buckets < 1:
+                raise ValueError("new_buckets must be >= 1")
+            epoch = m.epoch + 1
+            schema = m.base_schema()
+            lake_dir, B = self.lake_dir, int(new_buckets)
+            file_map = self.bucket_file_map(m)
+            specs = [{"files": files} for files in file_map.values() if files]
+            ren = dict(m.column_renames)
 
-        m = self.store.latest()
-        if m is None:
-            raise ValueError("rebucket needs a bootstrapped lake")
-        if new_buckets < 1:
-            raise ValueError("new_buckets must be >= 1")
-        epoch = m.epoch + 1
-        schema = m.base_schema()
-        lake_dir, B = self.lake_dir, int(new_buckets)
-        file_map = self.bucket_file_map(m)
-        specs = [{"files": files} for files in file_map.values() if files]
+            def load_and_route(batch: pa.Table) -> pa.Table:
+                out = []
+                for files in batch.column("files").to_pylist():
+                    # tombstones retained
+                    t = conform(_load_bucket(files, schema, ren), schema)
+                    nb = (stable_hash_u64(t.column("url")) % B).astype(np.int32)
+                    out.append(t.append_column(_BUCKET_COL, pa.array(nb)))
+                return (pa.concat_tables(out) if out else
+                        conform(pa.table({}), schema).append_column(
+                            _BUCKET_COL, pa.array([], pa.int32())))
 
-        ren = dict(m.column_renames)
+            load_and_route.__name__ = "rebucket_route"
 
-        def load_and_route(batch: pa.Table) -> pa.Table:
-            out = []
-            for row in batch.to_pylist():
-                t = merge_bases(
-                    [apply_renames(pq.read_table(p), ren)
-                     for p in row["files"]], schema
-                )  # tombstones retained
-                t = conform(t, schema)
-                nb = (stable_hash_u64(t.column("url")) % B).astype(np.int32)
-                out.append(t.append_column(_BUCKET_COL, pa.array(nb)))
-            return (pa.concat_tables(out) if out else
-                    conform(pa.table({}), schema).append_column(
-                        _BUCKET_COL, pa.array([], pa.int32())))
-
-        load_and_route.__name__ = "rebucket_route"
-
-        def write_new_bucket(group: pa.Table) -> pa.Table:
-            bucket = int(group.column(_BUCKET_COL)[0].as_py())
-            tbl = group.drop_columns([_BUCKET_COL]).sort_by(
-                [("url", "ascending")]
-            )
-            ckpt.atomic_write_table(
-                tbl, ckpt.staging_path(lake_dir, epoch, bucket)
-            )
-            return pa.table({
-                "bucket": pa.array([bucket], pa.int32()),
-                "rows": pa.array([tbl.num_rows], pa.int64()),
-            })
-
-        write_new_bucket.__name__ = "rebucket_write"
-        lineage = (
-            rd.from_items(specs)
-            .map_batches(load_and_route, batch_format="pyarrow", batch_size=1)
-            .groupby(_BUCKET_COL)
-            .map_groups(write_new_bucket, batch_format="pyarrow")
-            .take_all()
-        )
-        buckets_touched = [int(r["bucket"]) for r in lineage]
-        ckpt.promote(lake_dir, epoch, buckets_touched)
-        manifest = Manifest(
-            epoch=epoch,
-            low_seq=m.high_seq,
-            high_seq=m.high_seq,
-            num_buckets=B,
-            schema_fingerprint=m.schema_fingerprint,
-            schema_ipc=m.schema_ipc,
-            metrics=dict(m.metrics),
-            # every bucket was rewritten with CURRENT column names above,
-            # so the stored-name rename map is spent
-            column_renames={},
-            constraints=dict(m.constraints),
-        )
-        # events_epoch = 0: a migration applies no events, and salt_plan
-        # reads this field as "events applied THIS epoch" — the epoch
-        # NUMBER here would mark every bucket uniformly (wrongly) hot
-        for r in lineage:
-            b = int(r["bucket"])
-            manifest.buckets[b] = BucketState(
-                bucket=b, high_seq=m.high_seq, base_epoch=epoch,
-                rows=int(r["rows"]), events_applied=0, events_epoch=0,
-            )
-        for b in range(B):
-            if b not in manifest.buckets:
-                manifest.buckets[b] = BucketState(
-                    bucket=b, high_seq=m.high_seq, base_epoch=-1, rows=0,
-                    events_applied=0, events_epoch=0,
+            def write_new_bucket(group: pa.Table) -> pa.Table:
+                bucket = int(group.column(_BUCKET_COL)[0].as_py())
+                tbl = group.drop_columns([_BUCKET_COL]).sort_by(
+                    [("url", "ascending")]
                 )
-        self.store.commit(manifest)
-        return manifest
+                ckpt.atomic_write_table(
+                    tbl, ckpt.staging_path(lake_dir, epoch, bucket)
+                )
+                return pa.table({
+                    "bucket": pa.array([bucket], pa.int32()),
+                    "rows": pa.array([tbl.num_rows], pa.int64()),
+                })
+
+            write_new_bucket.__name__ = "rebucket_write"
+            lineage = (
+                rd.from_items(specs)
+                .map_batches(load_and_route, batch_format="pyarrow", batch_size=1)
+                .groupby(_BUCKET_COL)
+                .map_groups(write_new_bucket, batch_format="pyarrow")
+                .take_all()
+            )
+            buckets_touched = [int(r["bucket"]) for r in lineage]
+            ckpt.promote(lake_dir, epoch, buckets_touched)
+            manifest = Manifest(
+                epoch=epoch,
+                low_seq=m.high_seq,
+                high_seq=m.high_seq,
+                num_buckets=B,
+                schema_fingerprint=m.schema_fingerprint,
+                schema_ipc=m.schema_ipc,
+                metrics=dict(m.metrics),
+                # every bucket was rewritten with CURRENT column names above,
+                # so the stored-name rename map is spent
+                column_renames={},
+                constraints=dict(m.constraints),
+            )
+            # events_epoch = 0: a migration applies no events, and salt_plan
+            # reads this field as "events applied THIS epoch" — the epoch
+            # NUMBER here would mark every bucket uniformly (wrongly) hot
+            for r in lineage:
+                b = int(r["bucket"])
+                manifest.buckets[b] = BucketState(
+                    bucket=b, high_seq=m.high_seq, base_epoch=epoch,
+                    rows=int(r["rows"]), events_applied=0, events_epoch=0,
+                )
+            for b in range(B):
+                if b not in manifest.buckets:
+                    manifest.buckets[b] = BucketState(
+                        bucket=b, high_seq=m.high_seq, base_epoch=-1, rows=0,
+                        events_applied=0, events_epoch=0,
+                    )
+            self.store.commit(manifest)
+            return manifest
 
     def compact_now(self) -> "Manifest":
         """Forced full compaction — the reference runs compaction as its
@@ -2047,16 +2069,7 @@ class CdcEngine:
         names are deterministic and promote skips existing files. Takes
         the job lock; superseded delta files become unreferenced and fall
         to ``vacuum_keep``'s retention window."""
-        from contextlib import nullcontext
-
-        import ray.data as rd
-
-        from .locks import FileJobLock
-        from .merge import merge_bases
-
-        lock = (FileJobLock(os.path.join(self.lake_dir, "_locks"))
-                if self.cfg.job_lock else nullcontext())  # same knob as run()
-        with lock:
+        with self._job_lock():
             m = self.store.latest()
             if m is None:
                 raise ValueError("compact_now needs a bootstrapped lake")
@@ -2064,70 +2077,19 @@ class CdcEngine:
             if not dirty:
                 return m  # nothing outstanding — no new epoch
             epoch = m.epoch + 1
-            schema = m.base_schema()
-            lake_dir = self.lake_dir
             specs = [
-                {"bucket": b, "files": ckpt.bucket_files(lake_dir, s)}
+                {"bucket": b, "files": ckpt.bucket_files(self.lake_dir, s)}
                 for b, s in sorted(dirty.items())
             ]
-
-            ren = dict(m.column_renames)
-
-            def compact_bucket(batch: pa.Table) -> pa.Table:
-                rows = []
-                for row in batch.to_pylist():
-                    bucket = int(row["bucket"])
-                    t = merge_bases(
-                        [apply_renames(pq.read_table(p), ren)
-                         for p in row["files"]], schema
-                    )  # tombstones retained — late events must still lose
-                    t = conform(t, schema).sort_by([("url", "ascending")])
-                    ckpt.atomic_write_table(
-                        t, ckpt.staging_path(lake_dir, epoch, bucket)
-                    )
-                    rows.append({"bucket": bucket, "rows": t.num_rows})
-                return pa.Table.from_pylist(rows, schema=pa.schema([
-                    ("bucket", pa.int32()), ("rows", pa.int64()),
-                ]))
-
-            compact_bucket.__name__ = "compact_bucket"
-            lineage = (
-                rd.from_items(specs)
-                .map_batches(compact_bucket, batch_format="pyarrow",
-                             batch_size=1)
-                .take_all()
-            )
-            touched = [int(r["bucket"]) for r in lineage]
-            ckpt.promote(lake_dir, epoch, touched)
-            manifest = Manifest(
-                epoch=epoch, low_seq=m.high_seq, high_seq=m.high_seq,
-                num_buckets=m.num_buckets,
-                schema_fingerprint=m.schema_fingerprint,
-                schema_ipc=m.schema_ipc, metrics=dict(m.metrics),
-                # compaction merges WITHIN buckets — the layout (and so
-                # the router stamp) is unchanged
-                bucket_hash=m.bucket_hash,
-                # untouched (clean) buckets keep pre-rename files on disk
-                column_renames=dict(m.column_renames),
-                constraints=dict(m.constraints),
-            )
-            for b, s in m.buckets.items():
-                manifest.buckets[b] = s
-            for r in lineage:
-                b = int(r["bucket"])
-                old = m.buckets[b]
-                manifest.buckets[b] = BucketState(
-                    bucket=b, high_seq=old.high_seq, base_epoch=epoch,
-                    rows=int(r["rows"]),
-                    events_applied=old.events_applied, events_epoch=0,
-                )
-            manifest.metrics["forced_compactions"] = (
-                int(manifest.metrics.get("forced_compactions", 0)) + 1
-            )
-            self.store.commit(manifest)
-            self.metrics.inc("compactions", len(touched))
+            # the merged state as it stands, tombstones retained — late
+            # events must still lose
+            lineage = self._rewrite_buckets(
+                specs, lambda t, spec: (t, 0), "compact_bucket", m, epoch)
+            manifest = self._commit_maintenance_epoch(
+                m, epoch, lineage, {"forced_compactions": 1})
+            self.metrics.inc("compactions", len(lineage))
             self.metrics.submit_event(
-                "ForcedCompaction", epoch=epoch, buckets=len(touched),
+                "ForcedCompaction", epoch=epoch, buckets=len(lineage),
             )
             return manifest
 
@@ -2156,11 +2118,7 @@ class CdcEngine:
         ``fixer``: pyarrow Table -> Table over the raw event schema.
         ``epochs``: only re-drive these epochs' error files (default all).
         """
-        if not self.cfg.job_lock:
-            return self._redrive_impl(fixer, epochs, consume)
-        from .locks import FileJobLock
-
-        with FileJobLock(os.path.join(self.lake_dir, "_locks")):
+        with self._job_lock():
             return self._redrive_impl(fixer, epochs, consume)
 
     def _redrive_impl(self, fixer, epochs, consume) -> dict:
@@ -2267,18 +2225,57 @@ class CdcEngine:
                 "source_rows": t.num_rows, "redriven": report.events,
                 "still_diverted": report.errors, "unreplayable": unreplayable}
 
-    def _commit_maintenance_epoch(self, m, epoch: int, lineage,
-                                  touched_key: str, metric_key: str) -> int:
-        """Shared commit tail of the predicate DML family (update/delete):
-        promote the touched buckets' staged bases and commit a manifest at
-        the SAME watermark — layout, router stamp, renames and constraints
-        carried forward; untouched buckets keep their files. ``lineage``
-        rows carry (bucket, rows, <touched_key>); returns the total count.
-        (checkpoint.sweep_unreferenced records why this must live once:
-        near-identical commit blocks diverge on fixes.)"""
-        touched = [int(r["bucket"]) for r in lineage if r[touched_key]]
-        total = sum(int(r[touched_key]) for r in lineage)
-        ckpt.promote(self.lake_dir, epoch, touched)
+    def _rewrite_buckets(self, specs: list[dict], fn, task_name: str,
+                         source: Manifest, epoch: int) -> list[dict]:
+        """The one bucket-rewrite job of the maintenance commands: one Ray
+        task per spec (``{"bucket", "files", ...}``, files of ``source``)
+        loads the bucket's merged state — tombstones kept, conformed to
+        ``source``'s schema — and calls ``fn(table, spec) -> (table |
+        None, count)``. A returned table is staged, url-sorted, as the
+        bucket's base at ``epoch`` in THIS lake; None leaves the bucket
+        untouched. Returns the lineage: one ``{bucket, rows, count,
+        staged}`` row per spec (O(buckets) driver state), which
+        ``_commit_maintenance_epoch`` commits. ``task_name`` names the
+        Ray Data operator."""
+        import ray.data as rd
+
+        schema = source.base_schema()
+        ren = dict(source.column_renames)
+        lake_dir = self.lake_dir
+
+        def rewrite(batch: pa.Table) -> pa.Table:
+            rows = []
+            for spec in batch.to_pylist():
+                bucket = int(spec["bucket"])
+                t = conform(_load_bucket(spec["files"], schema, ren), schema)
+                out, count = fn(t, spec)
+                if out is not None:
+                    t = out.sort_by([("url", "ascending")])
+                    ckpt.atomic_write_table(
+                        t, ckpt.staging_path(lake_dir, epoch, bucket))
+                rows.append({"bucket": bucket, "rows": t.num_rows,
+                             "count": count, "staged": out is not None})
+            return pa.Table.from_pylist(rows, schema=_REWRITE_LINEAGE)
+
+        rewrite.__name__ = task_name
+        return (
+            rd.from_items(specs)
+            .map_batches(rewrite, batch_format="pyarrow", batch_size=1)
+            .take_all()
+        )
+
+    def _commit_maintenance_epoch(self, m: Manifest, epoch: int, lineage,
+                                  metrics: dict[str, int]) -> Manifest:
+        """Shared commit tail of the bucket-rewrite commands (compaction,
+        update/delete, purge): promote the buckets ``_rewrite_buckets``
+        staged and commit a manifest at the SAME watermark — layout, router
+        stamp, renames and constraints carried forward; untouched buckets
+        keep their (possibly pre-rename) files. ``metrics`` maps counter ->
+        increment, added to the manifest's cumulative counters and the
+        driver's. (checkpoint.sweep_unreferenced records why this must live
+        once: near-identical commit blocks diverge on fixes.)"""
+        staged = [r for r in lineage if r["staged"]]
+        ckpt.promote(self.lake_dir, epoch, [int(r["bucket"]) for r in staged])
         manifest = Manifest(
             epoch=epoch, low_seq=m.high_seq, high_seq=m.high_seq,
             num_buckets=m.num_buckets,
@@ -2290,22 +2287,23 @@ class CdcEngine:
         )
         for b, s in m.buckets.items():
             manifest.buckets[b] = s
-        for r in lineage:
+        for r in staged:
             b = int(r["bucket"])
-            if not int(r[touched_key]):
-                continue
             old = m.buckets[b]
+            # events_epoch is the salt-plan input ("events applied THIS
+            # epoch") — a rewrite applies none; writing the epoch NUMBER
+            # here once made salt_plan flag rewritten buckets as hot
             manifest.buckets[b] = BucketState(
                 bucket=b, high_seq=old.high_seq, base_epoch=epoch,
                 rows=int(r["rows"]),
                 events_applied=old.events_applied, events_epoch=0,
             )
-        manifest.metrics[metric_key] = (
-            int(manifest.metrics.get(metric_key, 0)) + total
-        )
+        for k, n in metrics.items():
+            manifest.metrics[k] = int(manifest.metrics.get(k, 0)) + n
         self.store.commit(manifest)
-        self.metrics.inc(metric_key, total)
-        return total
+        for k, n in metrics.items():
+            self.metrics.inc(k, n)
+        return manifest
 
     def update_where(self, predicate, assign) -> dict:
         """In-place UPDATE ... WHERE DML over the lake — the Delta Lake
@@ -2333,13 +2331,9 @@ class CdcEngine:
         purge); untouched buckets keep their files. Driver state is
         O(buckets) lineage. Takes the job lock.
         """
-        import ray.data as rd
-
         from .constraints import _ok_mask
-        from .locks import FileJobLock
-        from .merge import merge_bases
 
-        with FileJobLock(os.path.join(self.lake_dir, "_locks")):
+        with self._job_lock():
             m = self.store.latest()
             if m is None:
                 raise ValueError("update_where needs a bootstrapped lake")
@@ -2347,105 +2341,67 @@ class CdcEngine:
             specs = [{"bucket": b, "files": fs}
                      for b, fs in sorted(file_map.items()) if fs]
             epoch = m.epoch + 1
-            schema = m.base_schema()
-            lake_dir = self.lake_dir
-            ren = dict(m.column_renames)
             cons = dict(m.constraints)
             protected = self._PROTECTED_COLUMNS
 
-            def update_bucket(batch: pa.Table) -> pa.Table:
-                rows = []
-                for spec in batch.to_pylist():
-                    bucket = int(spec["bucket"])
-                    t = merge_bases(
-                        [apply_renames(pq.read_table(p), ren)
-                         for p in spec["files"]], schema
-                    )
-                    t = conform(t, schema)
-                    live = pc.invert(
-                        pc.fill_null(t.column("is_deleted"), False))
-                    hit = pc.fill_null(pc.cast(predicate(t), pa.bool_()),
-                                       False)
-                    mask = pc.and_(hit, live)
-                    if isinstance(mask, pa.ChunkedArray):
-                        mask = mask.combine_chunks()
-                    n_hit = int(pc.sum(pc.cast(mask, pa.int64())).as_py())
-                    if n_hit == 0:
-                        rows.append({"bucket": bucket, "rows": t.num_rows,
-                                     "updated": 0})
-                        continue
-                    matched = t.filter(mask)
-                    new_vals = assign(matched)
-                    out = t
-                    for col, arr in new_vals.items():
-                        if col in protected:
-                            raise ValueError(
-                                f"update_where: {col!r} is an LWW-identity "
-                                "column — updating it would move rows' "
-                                "replay position; write CDC events instead"
-                            )
-                        if col not in out.column_names:
-                            raise ValueError(
-                                f"update_where: unknown column {col!r}")
-                        idx = out.schema.get_field_index(col)
-                        field_t = out.schema.field(col).type
-                        def one_chunk(x, typ):
-                            # ChunkedArray.combine_chunks returns an
-                            # Array on this pyarrow; normalize either way
-                            if isinstance(x, pa.ChunkedArray):
-                                x = x.combine_chunks()
-                            if isinstance(x, pa.ChunkedArray):
-                                x = (x.chunk(0) if x.num_chunks
-                                     else pa.array([], typ))
-                            return x
+            def one_chunk(x, typ):
+                # ChunkedArray.combine_chunks returns an Array on this
+                # pyarrow; normalize either way
+                if isinstance(x, pa.ChunkedArray):
+                    x = x.combine_chunks()
+                if isinstance(x, pa.ChunkedArray):
+                    x = x.chunk(0) if x.num_chunks else pa.array([], typ)
+                return x
 
-                        arr = one_chunk(arr, field_t).cast(field_t)
-                        if len(arr) != n_hit:
-                            raise ValueError(
-                                f"update_where: assign returned {len(arr)} "
-                                f"values for {n_hit} matched rows ({col})"
-                            )
-                        base = one_chunk(out.column(col), field_t)
-                        repl = pc.replace_with_mask(base, mask, arr)
-                        out = out.set_column(idx, col, repl)
-                    # Delta-style constraint enforcement on the rows the
-                    # DML produced (only matched rows can newly violate)
-                    upd = out.filter(mask)
-                    for name, spec_c in cons.items():
-                        ok = _ok_mask(spec_c, upd)
-                        if not bool(np.all(ok)):
-                            raise ValueError(
-                                f"update_where violates constraint "
-                                f"{name!r} ({spec_c}) on "
-                                f"{int((~ok).sum())} rows — command "
-                                "aborted, nothing promoted"
-                            )
-                    ckpt.atomic_write_table(
-                        out.sort_by([("url", "ascending")]),
-                        ckpt.staging_path(lake_dir, epoch, bucket),
-                    )
-                    rows.append({"bucket": bucket, "rows": out.num_rows,
-                                 "updated": n_hit})
-                return pa.Table.from_pylist(
-                    rows,
-                    schema=pa.schema([
-                        ("bucket", pa.int32()), ("rows", pa.int64()),
-                        ("updated", pa.int64()),
-                    ]),
-                )
+            def update(t: pa.Table, spec: dict):
+                mask, n_hit = _live_hits(t, predicate)
+                if n_hit == 0:
+                    return None, 0
+                new_vals = assign(t.filter(mask))
+                out = t
+                for col, arr in new_vals.items():
+                    if col in protected:
+                        raise ValueError(
+                            f"update_where: {col!r} is an LWW-identity "
+                            "column — updating it would move rows' "
+                            "replay position; write CDC events instead"
+                        )
+                    if col not in out.column_names:
+                        raise ValueError(
+                            f"update_where: unknown column {col!r}")
+                    idx = out.schema.get_field_index(col)
+                    field_t = out.schema.field(col).type
+                    arr = one_chunk(arr, field_t).cast(field_t)
+                    if len(arr) != n_hit:
+                        raise ValueError(
+                            f"update_where: assign returned {len(arr)} "
+                            f"values for {n_hit} matched rows ({col})"
+                        )
+                    base = one_chunk(out.column(col), field_t)
+                    repl = pc.replace_with_mask(base, mask, arr)
+                    out = out.set_column(idx, col, repl)
+                # Delta-style constraint enforcement on the rows the DML
+                # produced (only matched rows can newly violate)
+                upd = out.filter(mask)
+                for name, spec_c in cons.items():
+                    ok = _ok_mask(spec_c, upd)
+                    if not bool(np.all(ok)):
+                        raise ValueError(
+                            f"update_where violates constraint "
+                            f"{name!r} ({spec_c}) on "
+                            f"{int((~ok).sum())} rows — command "
+                            "aborted, nothing promoted"
+                        )
+                return out, n_hit
 
-            update_bucket.__name__ = "update_bucket"
-            lineage = (
-                rd.from_items(specs)
-                .map_batches(update_bucket, batch_format="pyarrow",
-                             batch_size=1)
-                .take_all()
-            )  # O(buckets) rows
-            touched = [int(r["bucket"]) for r in lineage if r["updated"]]
+            lineage = self._rewrite_buckets(
+                specs, update, "update_bucket", m, epoch)  # O(buckets) rows
+            touched = [r for r in lineage if r["staged"]]
             if not touched:
                 return {"epoch": m.epoch, "updated": 0, "buckets": 0}
-            total = self._commit_maintenance_epoch(
-                m, epoch, lineage, "updated", "dml_updated_rows")
+            total = sum(int(r["count"]) for r in touched)
+            self._commit_maintenance_epoch(
+                m, epoch, lineage, {"dml_updated_rows": total})
             self.metrics.submit_event(
                 "UpdateWhere", epoch=epoch, updated=total,
                 buckets=len(touched),
@@ -2468,12 +2424,7 @@ class CdcEngine:
         buckets with >= 1 match are rewritten; O(buckets) driver state;
         takes the job lock.
         """
-        import ray.data as rd
-
-        from .locks import FileJobLock
-        from .merge import merge_bases
-
-        with FileJobLock(os.path.join(self.lake_dir, "_locks")):
+        with self._job_lock():
             m = self.store.latest()
             if m is None:
                 raise ValueError("delete_where needs a bootstrapped lake")
@@ -2481,56 +2432,21 @@ class CdcEngine:
             specs = [{"bucket": b, "files": fs}
                      for b, fs in sorted(file_map.items()) if fs]
             epoch = m.epoch + 1
-            schema = m.base_schema()
-            lake_dir = self.lake_dir
-            ren = dict(m.column_renames)
 
-            def delete_bucket(batch: pa.Table) -> pa.Table:
-                rows = []
-                for spec in batch.to_pylist():
-                    bucket = int(spec["bucket"])
-                    t = merge_bases(
-                        [apply_renames(pq.read_table(p), ren)
-                         for p in spec["files"]], schema
-                    )
-                    t = conform(t, schema)
-                    live = pc.invert(
-                        pc.fill_null(t.column("is_deleted"), False))
-                    hit = pc.fill_null(pc.cast(predicate(t), pa.bool_()),
-                                       False)
-                    mask = pc.and_(hit, live)
-                    n_hit = int(pc.sum(pc.cast(mask, pa.int64())).as_py())
-                    if n_hit == 0:
-                        rows.append({"bucket": bucket, "rows": t.num_rows,
-                                     "deleted": 0})
-                        continue
-                    kept = t.filter(pc.invert(mask))
-                    ckpt.atomic_write_table(
-                        kept.sort_by([("url", "ascending")]),
-                        ckpt.staging_path(lake_dir, epoch, bucket),
-                    )
-                    rows.append({"bucket": bucket, "rows": kept.num_rows,
-                                 "deleted": n_hit})
-                return pa.Table.from_pylist(
-                    rows,
-                    schema=pa.schema([
-                        ("bucket", pa.int32()), ("rows", pa.int64()),
-                        ("deleted", pa.int64()),
-                    ]),
-                )
+            def delete(t: pa.Table, spec: dict):
+                mask, n_hit = _live_hits(t, predicate)
+                if n_hit == 0:
+                    return None, 0
+                return t.filter(pc.invert(mask)), n_hit
 
-            delete_bucket.__name__ = "delete_bucket"
-            lineage = (
-                rd.from_items(specs)
-                .map_batches(delete_bucket, batch_format="pyarrow",
-                             batch_size=1)
-                .take_all()
-            )
-            touched = [int(r["bucket"]) for r in lineage if r["deleted"]]
+            lineage = self._rewrite_buckets(
+                specs, delete, "delete_bucket", m, epoch)
+            touched = [r for r in lineage if r["staged"]]
             if not touched:
                 return {"epoch": m.epoch, "deleted": 0, "buckets": 0}
-            total = self._commit_maintenance_epoch(
-                m, epoch, lineage, "deleted", "dml_deleted_rows")
+            total = sum(int(r["count"]) for r in touched)
+            self._commit_maintenance_epoch(
+                m, epoch, lineage, {"dml_deleted_rows": total})
             self.metrics.submit_event(
                 "DeleteWhere", epoch=epoch, deleted=total,
                 buckets=len(touched),
@@ -2566,21 +2482,15 @@ class CdcEngine:
         driver-side), so a 10^6-key purge over 10^4 buckets moves ~100
         keys per task, not the whole set per task. Takes the job lock —
         purging under a live driver would race its promotes."""
-        import ray.data as rd
-
-        from .locks import FileJobLock
-        from .merge import merge_bases
-
-        with FileJobLock(os.path.join(self.lake_dir, "_locks")):
+        with self._job_lock():
             m = self.store.latest()
             if m is None:
                 raise ValueError("purge_keys needs a bootstrapped lake")
             urls = sorted(set(urls))
             if not urls:
                 raise ValueError("no keys to purge")
-            B = m.num_buckets
             key_bucket = (
-                stable_hash_u64(pa.array(urls, pa.string())) % B
+                stable_hash_u64(pa.array(urls, pa.string())) % m.num_buckets
             ).astype(np.int64)
             by_bucket: dict[int, list[str]] = {}
             for u, b in zip(urls, key_bucket):
@@ -2591,85 +2501,25 @@ class CdcEngine:
                 for b, ks in sorted(by_bucket.items()) if file_map.get(b)
             ]
             epoch = m.epoch + 1
-            schema = m.base_schema()
             lake_dir = self.lake_dir
 
-            ren = dict(m.column_renames)
-
-            def purge_bucket(batch: pa.Table) -> pa.Table:
-                rows = []
-                for spec in batch.to_pylist():
-                    bucket = int(spec["bucket"])
-                    t = merge_bases(
-                        [apply_renames(pq.read_table(p), ren)
-                         for p in spec["files"]], schema
-                    )  # tombstones retained: they carry the key too
-                    t = conform(t, schema)
-                    hit = pc.is_in(
-                        t.column("url"),
-                        value_set=pa.array(spec["purge"], pa.string()),
-                    )
-                    kept = t.filter(pc.invert(hit))
-                    ckpt.atomic_write_table(
-                        kept.sort_by([("url", "ascending")]),
-                        ckpt.staging_path(lake_dir, epoch, bucket),
-                    )
-                    rows.append({
-                        "bucket": bucket,
-                        "rows": kept.num_rows,
-                        "purged": t.num_rows - kept.num_rows,
-                    })
-                return pa.Table.from_pylist(
-                    rows,
-                    schema=pa.schema([
-                        ("bucket", pa.int32()), ("rows", pa.int64()),
-                        ("purged", pa.int64()),
-                    ]),
+            def purge(t: pa.Table, spec: dict):
+                # tombstones included: they carry the key too
+                hit = pc.is_in(
+                    t.column("url"),
+                    value_set=pa.array(spec["purge"], pa.string()),
                 )
+                kept = t.filter(pc.invert(hit))
+                return kept, t.num_rows - kept.num_rows
 
-            purge_bucket.__name__ = "purge_bucket"
-            lineage = (
-                rd.from_items(specs)
-                .map_batches(purge_bucket, batch_format="pyarrow",
-                             batch_size=1)
-                .take_all()
+            lineage = self._rewrite_buckets(
+                specs, purge, "purge_bucket", m, epoch,
             )  # O(affected buckets) rows
             touched = [int(r["bucket"]) for r in lineage]
-            ckpt.promote(lake_dir, epoch, touched)
-            manifest = Manifest(
-                epoch=epoch, low_seq=m.high_seq, high_seq=m.high_seq,
-                num_buckets=B, schema_fingerprint=m.schema_fingerprint,
-                schema_ipc=m.schema_ipc, metrics=dict(m.metrics),
-                # purge rewrites only the AFFECTED buckets — layout and
-                # router stamp unchanged
-                bucket_hash=m.bucket_hash,
-                # untouched buckets keep pre-rename files on disk
-                column_renames=dict(m.column_renames),
-                constraints=dict(m.constraints),
-            )
-            total_purged = 0
-            for b, s in m.buckets.items():
-                manifest.buckets[b] = s
-            for r in lineage:
-                b = int(r["bucket"])
-                old = m.buckets[b]
-                total_purged += int(r["purged"])
-                manifest.buckets[b] = BucketState(
-                    bucket=b, high_seq=old.high_seq, base_epoch=epoch,
-                    rows=int(r["rows"]),
-                    # events_epoch is the salt-plan input ("events applied
-                    # THIS epoch") — a purge applies none; writing the
-                    # epoch NUMBER here once made salt_plan flag rewritten
-                    # buckets as hot
-                    events_applied=old.events_applied, events_epoch=0,
-                )
-            manifest.metrics["purged_rows"] = (
-                int(manifest.metrics.get("purged_rows", 0)) + total_purged
-            )
-            manifest.metrics["purged_keys"] = (
-                int(manifest.metrics.get("purged_keys", 0)) + len(urls)
-            )
-            self.store.commit(manifest)
+            total_purged = sum(int(r["count"]) for r in lineage)
+            manifest = self._commit_maintenance_epoch(
+                m, epoch, lineage,
+                {"purged_rows": total_purged, "purged_keys": len(urls)})
             # The _errors/ quarantine (and its _redriven archive) stages
             # FULL diverted rows — url, html, text — so a compliant purge
             # must scrub it too, or the purged user's data survives there
@@ -2725,6 +2575,35 @@ class CdcEngine:
                 "removed_files": removed_files,
             }
 
+    def _diff_specs(self, from_epoch: int, to_epoch: int | None, what: str):
+        """The change feeds' plan: the newer manifest and one spec per
+        bucket with its ``old`` and ``new`` files (the router is stable
+        across manifests, so a bucket diffs against itself)."""
+        m_old = self.store.load(from_epoch)
+        m_new = (
+            self.store.load(to_epoch) if to_epoch is not None
+            else self.store.latest()
+        )
+        if m_old.num_buckets != m_new.num_buckets:
+            # bucket_hash pins the hash FUNCTION but not the modulus: a
+            # rebucket() between the two manifests moves urls across
+            # buckets, and pairing old bucket b with new bucket b would
+            # emit a mostly-spurious delete+insert feed. Diff within one
+            # bucket layout instead (before or after the migration).
+            raise ValueError(
+                f"{what} across a bucket migration: manifest "
+                f"{m_old.epoch} has {m_old.num_buckets} buckets but "
+                f"{m_new.epoch} has {m_new.num_buckets}; diff within one "
+                "bucket layout (both sides before, or both after, the "
+                "rebucket)"
+            )
+        old_map = self.bucket_file_map(m_old)
+        new_map = self.bucket_file_map(m_new)
+        return m_new, [
+            {"old": old_map.get(b, []), "new": new_map.get(b, [])}
+            for b in sorted(set(old_map) | set(new_map))
+        ]
+
     def read_changes(self, from_epoch: int, to_epoch: int | None = None,
                      include_before: bool = False,
                      columns: tuple[str, ...] = (),
@@ -2758,41 +2637,12 @@ class CdcEngine:
         """
         import ray.data as rd
 
-        from .merge import merge_bases
-
-        m_old = self.store.load(from_epoch)
-        m_new = (
-            self.store.load(to_epoch) if to_epoch is not None
-            else self.store.latest()
-        )
-        if m_old.num_buckets != m_new.num_buckets:
-            # bucket_hash pins the hash FUNCTION but not the modulus: a
-            # rebucket() between the two manifests moves urls across
-            # buckets, and pairing old bucket b with new bucket b would
-            # emit a mostly-spurious delete+insert feed. Diff within one
-            # bucket layout instead (before or after the migration).
-            raise ValueError(
-                f"read_changes across a bucket migration: manifest "
-                f"{m_old.epoch} has {m_old.num_buckets} buckets but "
-                f"{m_new.epoch} has {m_new.num_buckets}; diff within one "
-                "bucket layout (both sides before, or both after, the "
-                "rebucket)"
-            )
-        old_map = self.bucket_file_map(m_old)
-        new_map = self.bucket_file_map(m_new)
+        m_new, specs = self._diff_specs(from_epoch, to_epoch, "read_changes")
         schema = m_new.base_schema()
-        specs = [
-            {"old": old_map.get(b, []), "new": new_map.get(b, [])}
-            for b in sorted(set(old_map) | set(new_map))
-        ]
-
         ren = dict(m_new.column_renames)
 
         def _live_sorted(files: list[str]) -> pa.Table:
-            if not files:
-                return conform(pa.table({}), schema)
-            t = live_rows(merge_bases(
-                [apply_renames(pq.read_table(p), ren) for p in files], schema))
+            t = live_rows(_load_bucket(files, schema, ren))
             return conform(t, schema).sort_by([("url", "ascending")])
 
         base_names = set(schema.names)
@@ -2866,13 +2716,10 @@ class CdcEngine:
                 told, tnew = _live_sorted(row["old"]), _live_sorted(row["new"])
                 ou = told.column("url").to_numpy(zero_copy_only=False)
                 nu = tnew.column("url").to_numpy(zero_copy_only=False)
-                in_old = np.isin(nu, ou)
-                outs.append(_emit(tnew, np.flatnonzero(~in_old), "insert"))
-                gone = np.flatnonzero(~np.isin(ou, nu))
+                ins, gone, common, oi = _match_sorted(ou, nu)
+                outs.append(_emit(tnew, ins, "insert"))
                 outs.append(_emit(told, gone, "delete"))
-                common = np.flatnonzero(in_old)
                 if len(common):
-                    oi = np.searchsorted(ou, nu[common])
                     oseq = told.column("event_seq").to_numpy(
                         zero_copy_only=False)[oi]
                     nseq = tnew.column("event_seq").to_numpy(
@@ -2907,38 +2754,18 @@ class CdcEngine:
         needs the older manifest's files (vacuum window)."""
         import ray.data as rd
 
-        from .merge import live_rows, merge_bases
-
-        m_old = self.store.load(from_epoch)
-        m_new = (
-            self.store.load(to_epoch) if to_epoch is not None
-            else self.store.latest()
-        )
-        if m_old.num_buckets != m_new.num_buckets:
-            raise ValueError(
-                "read_changes_full across a bucket migration; diff within "
-                "one bucket layout (see read_changes)"
-            )
-        old_map = self.bucket_file_map(m_old)
-        new_map = self.bucket_file_map(m_new)
+        m_new, specs = self._diff_specs(
+            from_epoch, to_epoch, "read_changes_full")
         schema = m_new.base_schema()
-        specs = [
-            {"old": old_map.get(b, []), "new": new_map.get(b, [])}
-            for b in sorted(set(old_map) | set(new_map))
-        ]
         out_schema = pa.schema(
             [("change_type", pa.string())]
             + [(f.name, f.type) for f in schema if f.name != "is_deleted"]
         )
         data_cols = [f.name for f in out_schema][1:]
-
         ren = dict(m_new.column_renames)
 
         def _merged(files: list[str]) -> pa.Table:
-            if not files:
-                return conform(pa.table({}), schema)
-            t = merge_bases(
-                [apply_renames(pq.read_table(p), ren) for p in files], schema)
+            t = _load_bucket(files, schema, ren)
             return conform(t, schema).sort_by([("url", "ascending")])
 
         def _emit(t: pa.Table, idx: np.ndarray, kind: str) -> pa.Table:
@@ -2959,18 +2786,15 @@ class CdcEngine:
                 tnew = conform(tnew, schema)
                 ou = told.column("url").to_numpy(zero_copy_only=False)
                 nu = tnew.column("url").to_numpy(zero_copy_only=False)
-                in_old = np.isin(nu, ou)
-                outs.append(_emit(tnew, np.flatnonzero(~in_old), "insert"))
-                common = np.flatnonzero(in_old)
+                ins, gone, common, oi = _match_sorted(ou, nu)
+                outs.append(_emit(tnew, ins, "insert"))
                 if len(common):
-                    oi = np.searchsorted(ou, nu[common])
                     oseq = told.column("event_seq").to_numpy(
                         zero_copy_only=False)[oi]
                     nseq = tnew.column("event_seq").to_numpy(
                         zero_copy_only=False)[common]
                     outs.append(
                         _emit(tnew, common[oseq != nseq], "update"))
-                gone = np.flatnonzero(~np.isin(ou, nu))
                 if len(gone):
                     # deleting event's identity lives in the NEW tombstones
                     au = all_new.column("url").to_numpy(zero_copy_only=False)
@@ -2993,15 +2817,12 @@ class CdcEngine:
 
     def read_table_arrow(self, manifest: Manifest | None = None) -> pa.Table:
         """Driver-side materialized view — tests/small lakes only."""
-        from .merge import merge_bases
-
         manifest = manifest or self.store.latest()
         schema = manifest.base_schema()
         ren = dict(manifest.column_renames)
         tables = []
         for files in self.bucket_file_map(manifest).values():
-            merged = merge_bases(
-                [apply_renames(pq.read_table(p), ren) for p in files], schema)
+            merged = _load_bucket(files, schema, ren)
             if merged.num_rows:
                 tables.append(live_rows(merged))
         if not tables:

@@ -41,15 +41,12 @@ makes for its source).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from . import checkpoint as ckpt
-from .schema import apply_renames, conform
+from .schema import conform
 
 _IDENTITY = ["url", "warc_ts", "event_seq", "is_deleted"]
 
@@ -82,7 +79,7 @@ def bucket_digests(eng, manifest=None):
     bucket, nothing but O(buckets) rows leaving the workers."""
     import ray.data as rd
 
-    from .merge import merge_bases
+    from .engine import _load_bucket
 
     m = manifest if manifest is not None else eng.store.latest()
     if m is None:
@@ -95,9 +92,7 @@ def bucket_digests(eng, manifest=None):
     def digest(batch: pa.Table) -> pa.Table:
         rows = []
         for row in batch.to_pylist():
-            t = conform(merge_bases(
-                [apply_renames(pq.read_table(p), ren)
-                 for p in row["files"]], schema), schema)
+            t = conform(_load_bucket(row["files"], schema, ren), schema)
             n, ls, ts = _state_sums(t, schema)
             rows.append({"bucket": int(row["bucket"]), "rows": n,
                          "live_sum": ls, "tomb_sum": ts})
@@ -136,17 +131,9 @@ def repair(src_eng, dst_eng, dry_run: bool = False) -> dict:
     the repaired base IS the full state). Idempotent: a second call finds
     zero mismatches. Returns ``{"checked", "mismatched", "repaired",
     "rows_written"}`` with ``mismatched`` as the sorted bucket list."""
-    from contextlib import nullcontext
-
-    import ray.data as rd
-
     from .checkpoint import BucketState, Manifest
-    from .locks import FileJobLock
-    from .merge import merge_bases
 
-    lock = (FileJobLock(os.path.join(dst_eng.lake_dir, "_locks"))
-            if dst_eng.cfg.job_lock else nullcontext())
-    with lock:
+    with dst_eng._job_lock():
         m_src = src_eng.store.latest()
         m_dst = dst_eng.store.latest()
         if m_src is None or m_dst is None:
@@ -168,32 +155,13 @@ def repair(src_eng, dst_eng, dry_run: bool = False) -> dict:
             return report
 
         epoch = m_dst.epoch + 1
-        schema = m_src.base_schema()
-        ren = dict(m_src.column_renames)
         src_map = src_eng.bucket_file_map(m_src)
-        dst_lake = dst_eng.lake_dir
         specs = [{"bucket": b, "files": src_map[b]} for b in mismatched]
-
-        def rewrite(batch: pa.Table) -> pa.Table:
-            rows = []
-            for row in batch.to_pylist():
-                b = int(row["bucket"])
-                t = conform(merge_bases(
-                    [apply_renames(pq.read_table(p), ren)
-                     for p in row["files"]], schema), schema)
-                t = t.sort_by([("url", "ascending")])
-                ckpt.atomic_write_table(
-                    t, ckpt.staging_path(dst_lake, epoch, b))
-                rows.append({"bucket": b, "rows": t.num_rows})
-            return pa.Table.from_pylist(rows, schema=pa.schema([
-                ("bucket", pa.int32()), ("rows", pa.int64())]))
-
-        rewrite.__name__ = "repair_bucket"
-        lineage = (rd.from_items(specs)
-                   .map_batches(rewrite, batch_format="pyarrow",
-                                batch_size=1).take_all())
+        # the source's merged state, staged into the destination lake
+        lineage = dst_eng._rewrite_buckets(
+            specs, lambda t, spec: (t, 0), "repair_bucket", m_src, epoch)
         touched = [int(r["bucket"]) for r in lineage]
-        ckpt.promote(dst_lake, epoch, touched)
+        ckpt.promote(dst_eng.lake_dir, epoch, touched)
         manifest = Manifest(
             epoch=epoch, low_seq=m_dst.high_seq, high_seq=m_dst.high_seq,
             num_buckets=m_dst.num_buckets,
@@ -221,6 +189,7 @@ def repair(src_eng, dst_eng, dry_run: bool = False) -> dict:
         manifest.metrics["repairs"] = (
             int(manifest.metrics.get("repairs", 0)) + 1)
         dst_eng.store.commit(manifest)
+        dst_eng.metrics.inc("repairs")  # later commits carry the counter
         report["repaired"] = len(touched)
         report["rows_written"] = int(sum(r["rows"] for r in lineage))
         return report

@@ -1483,6 +1483,7 @@ def test_ddl_manifest_preserves_bucket_hash():
     m.buckets[0] = BucketState(
         bucket=0, high_seq=10, base_epoch=1, rows=3, events_applied=7,
         events_epoch=5, delta_epochs=[2, 3], delta_rows=2,
+        ts_ranges={"base": [1, 5], "2": [4, 9]}, merge_sec=0.5, salt_carry=2,
     )
     n = CdcEngine._ddl_manifest(m, constraints={})
     assert n.bucket_hash == "legacy-v0"
@@ -1490,6 +1491,10 @@ def test_ddl_manifest_preserves_bucket_hash():
     assert n.constraints == {} and n.column_renames == {"a": "b"}
     b = n.buckets[0]
     assert b.events_epoch == 0 and b.delta_epochs == [2, 3] and b.rows == 3
+    assert b.delta_epochs is not m.buckets[0].delta_epochs
+    # a DDL rewrites no file, so the per-file zone map still holds
+    assert b.ts_ranges == {"base": [1, 5], "2": [4, 9]}
+    assert b.merge_sec == 0.0 and b.salt_carry == 0
     with pytest.raises(TypeError, match="unknown overrides"):
         CdcEngine._ddl_manifest(m, nope=1)
 

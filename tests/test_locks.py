@@ -2,6 +2,7 @@
 
 import os
 
+import pyarrow.compute as pc
 import pytest
 
 from gobblin_ray.locks import FileJobLock, JobLockError
@@ -100,6 +101,67 @@ def test_engine_run_refuses_foreign_lock(tmp_path, ray_session):
     os.remove(os.path.join(lockdir, "job.lock"))
     assert CdcEngine(lake, f"{corpus}/events", cfg).run() == []
     assert not os.path.exists(os.path.join(lockdir, "job.lock"))
+
+
+@pytest.fixture(scope="module")
+def foreign_locked_lake(ray_session, tmp_path_factory):
+    """A bootstrapped lake with unapplied events whose job lock is held
+    by a live foreign process (pid 1)."""
+    from gobblin_ray.engine import CdcEngine, EngineConfig
+    from gobblin_ray.synth import write_corpus
+
+    corpus = str(tmp_path_factory.mktemp("locked_corpus"))
+    lake = str(tmp_path_factory.mktemp("locked_lake"))
+    write_corpus(corpus, n_pages=20, n_events=100, shard_rows=100, seed=3)
+    eng = CdcEngine(lake, f"{corpus}/events",
+                    EngineConfig(num_buckets=2, epoch_width=100))
+    eng.bootstrap(f"{corpus}/pages.parquet")
+    eng.add_constraint("url_present", {"kind": "not_null", "column": "url"})
+    lockdir = os.path.join(lake, "_locks")
+    os.makedirs(lockdir, exist_ok=True)
+    with open(os.path.join(lockdir, "job.lock"), "w") as f:
+        f.write("1:0")
+    return eng
+
+
+def _repair_into(eng):
+    from gobblin_ray.repair import repair
+
+    return repair(eng, eng)
+
+
+_MANIFEST_WRITERS = {
+    "run": lambda e: e.run(),
+    "run_forever": lambda e: e.run_forever(poll_interval=0, max_polls=1),
+    "drop_column": lambda e: e.drop_column("lang"),
+    "rename_column": lambda e: e.rename_column("lang", "language"),
+    "add_constraint": lambda e: e.add_constraint(
+        "lang_present", {"kind": "not_null", "column": "lang"}),
+    "drop_constraint": lambda e: e.drop_constraint("url_present"),
+    "compact_now": lambda e: e.compact_now(),
+    "update_where": lambda e: e.update_where(
+        lambda t: pc.is_valid(t.column("url")), lambda t: {}),
+    "delete_where": lambda e: e.delete_where(
+        lambda t: pc.is_valid(t.column("url"))),
+    "purge_keys": lambda e: e.purge_keys(["http://example.com/x"]),
+    "redrive_errors": lambda e: e.redrive_errors(),
+    "rebucket": lambda e: e.rebucket(4),
+    "repair": _repair_into,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_WRITERS))
+def test_manifest_writers_refuse_foreign_lock(command, foreign_locked_lake):
+    """Every command that commits a manifest takes the job lock: under a
+    live foreign holder it raises and commits nothing (two writers of
+    the same ``epoch + 1`` would silently overwrite one manifest)."""
+    eng = foreign_locked_lake
+    epochs = eng.store.committed_epochs()
+    with pytest.raises(JobLockError):
+        _MANIFEST_WRITERS[command](eng)
+    assert eng.store.committed_epochs() == epochs
+    with open(os.path.join(eng.lake_dir, "_locks", "job.lock")) as f:
+        assert f.read() == "1:0"
 
 
 def test_pid_reuse_is_stale(tmp_path):

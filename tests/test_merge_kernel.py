@@ -3,6 +3,7 @@
 Mirrors the reference's dedup-reducer tests (gobblin-compaction/src/test/)
 plus FIXTURES.md §4 delete/tiebreak semantics."""
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -375,3 +376,23 @@ def test_schema_registry_compatibility_modes():
         check_compatibility(v1, v2, "FULL")
     with pytest.raises(ValueError):
         compatibility_violations(v1, v2, "SIDEWAYS")
+
+
+_urls = st.lists(st.text(alphabet="abcdé/:.", max_size=6), unique=True,
+                 max_size=40).map(lambda xs: np.array(sorted(xs), dtype=object))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_urls, _urls)
+def test_match_sorted_equals_isin(ou, nu):
+    """The change-feed diff's binary-search url match returns exactly what
+    the np.isin formulation over the same sorted unique urls returns,
+    empty sides included."""
+    from gobblin_ray.engine import _match_sorted
+
+    ins, gone, common, old_of_common = _match_sorted(ou, nu)
+    in_old = np.isin(nu, ou)
+    assert np.array_equal(ins, np.flatnonzero(~in_old))
+    assert np.array_equal(gone, np.flatnonzero(~np.isin(ou, nu)))
+    assert np.array_equal(common, np.flatnonzero(in_old))
+    assert np.array_equal(old_of_common, np.searchsorted(ou, nu[common]))
