@@ -613,10 +613,9 @@ class CdcEngine:
         # reference's native record format (AvroFileSource /
         # DatePartitionedAvroFileSource posture: Gobblin pipelines
         # commonly bootstrap FROM avro), read through the from-scratch
-        # codec in sources/avro.py. A MIXED dir reads both (one schema
-        # probe per format, unified — review finding: dispatching the
-        # whole dir on the first shard's suffix silently dropped the
-        # other format's rows).
+        # codec in sources/avro.py. A MIXED dir reads both formats, and
+        # every shard's footer/header schema is probed and unified, so a
+        # column only a later shard carries survives prep's conform.
         if os.path.isdir(pages_path):
             pq_files = sorted(
                 os.path.join(pages_path, f)
@@ -635,13 +634,11 @@ class CdcEngine:
             pq_files, av_files = [], [pages_path]
         else:
             pq_files, av_files = [pages_path], []
-        probes = []
-        if pq_files:
-            probes.append(pq.read_schema(pq_files[0]))
+        probes = [pq.read_schema(f) for f in pq_files]
         if av_files:
             from .sources.avro import container_schema
 
-            probes.append(container_schema(av_files[0]))
+            probes += [container_schema(f) for f in av_files]
         base_schema = unify_additive(
             *probes,
             pa.schema([("event_seq", pa.int64()), ("is_deleted", pa.bool_())]),
@@ -2086,8 +2083,8 @@ class CdcEngine:
             lineage = self._rewrite_buckets(
                 specs, lambda t, spec: (t, 0), "compact_bucket", m, epoch)
             manifest = self._commit_maintenance_epoch(
-                m, epoch, lineage, {"forced_compactions": 1})
-            self.metrics.inc("compactions", len(lineage))
+                m, epoch, lineage,
+                {"forced_compactions": 1, "compactions": len(lineage)})
             self.metrics.submit_event(
                 "ForcedCompaction", epoch=epoch, buckets=len(lineage),
             )

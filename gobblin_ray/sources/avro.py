@@ -29,56 +29,59 @@ Type lattice (Arrow <-> Avro):
   float64       <-> "double"
   struct        <-> record (nested, named by field path)
   list<T>       <-> array<T>
-Every field is written as the nullable union ["null", T] (the lake's
-additive-evolution rule makes all columns nullable); union-of-null-only
-columns (pa.null()) encode as "null".
+The writer makes every field the nullable union ["null", T] (the lake's
+additive-evolution rule makes all columns nullable); null-typed columns
+(pa.null()) encode as a bare "null".
+
+The reader accepts any spec-valid schema inside that lattice: required
+(non-union) fields, which decode as non-null values, and unions of "null"
+and one type in either branch order, dispatched by the index each value
+carries. It rejects with TypeError, before decoding a byte, what the
+lattice cannot hold: a union of two or more value types, map, enum and
+fixed, and named-type references. A block that does not hold exactly its
+record count, a union index out of range, or a cut-short varint or string
+raises ValueError; no input decodes into shifted rows.
 """
 
 from __future__ import annotations
 
-import io
+import datetime as dt
+import functools
 import json
-import os
 import struct
 import zlib
+from typing import Callable, NamedTuple
 
-import numpy as np
 import pyarrow as pa
 
 MAGIC = b"Obj\x01"
+_EPOCH = dt.datetime(1970, 1, 1)
+_US = dt.timedelta(microseconds=1)
 
 # ------------------------------------------------------------ primitives
 
 
-def _zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63)
-
-
-def _unzigzag(u: int) -> int:
-    return (u >> 1) ^ -(u & 1)
-
-
 def _write_long(buf: bytearray, n: int) -> None:
-    u = _zigzag(int(n)) & 0xFFFFFFFFFFFFFFFF
-    while True:
-        b = u & 0x7F
+    n = int(n)
+    u = ((n << 1) ^ (n >> 63)) & 0xFFFFFFFFFFFFFFFF  # zigzag
+    while u > 0x7F:
+        buf.append((u & 0x7F) | 0x80)
         u >>= 7
-        if u:
-            buf.append(b | 0x80)
-        else:
-            buf.append(b)
-            return
+    buf.append(u)
 
 
 def _read_long(mv: memoryview, pos: int) -> tuple[int, int]:
-    u = 0
-    shift = 0
+    u = mv[pos]
+    if u < 0x80:  # one byte: union indexes, small lengths and values
+        return (u >> 1) ^ -(u & 1), pos + 1  # un-zigzag
+    u &= 0x7F
+    shift = 7
     while True:
-        b = mv[pos]
         pos += 1
+        b = mv[pos]
         u |= (b & 0x7F) << shift
         if not b & 0x80:
-            return _unzigzag(u), pos
+            return (u >> 1) ^ -(u & 1), pos + 1
         shift += 7
 
 
@@ -89,6 +92,8 @@ def _write_bytes(buf: bytearray, b: bytes) -> None:
 
 def _read_bytes(mv: memoryview, pos: int) -> tuple[bytes, int]:
     n, pos = _read_long(mv, pos)
+    if n < 0:
+        raise ValueError(f"negative Avro length {n} at byte {pos}")
     return bytes(mv[pos:pos + n]), pos + n
 
 
@@ -163,278 +168,223 @@ def arrow_to_avro_schema(schema: pa.Schema, name: str = "Record") -> dict:
     return {"type": "record", "name": name, "fields": fields}
 
 
-def _arrow_type_of(avro_t: object) -> pa.DataType:
-    """Inverse lattice: Avro type (union-unwrapped) -> Arrow type."""
-    if isinstance(avro_t, list):  # union: use the non-null branch
-        branches = [b for b in avro_t if b != "null"]
-        if not branches:
-            return pa.null()
-        return _arrow_type_of(branches[0])
+def avro_to_arrow_schema(avro_schema: dict) -> pa.Schema:
+    return pa.schema(_compile_record(json.dumps(avro_schema)).arrow_type)
+
+
+# ------------------------------------------------------- compiled codec
+
+
+class _Codec(NamedTuple):
+    """One Avro type compiled once: its Arrow type, ``encode(buf, value)``
+    for a plain Python value (from Arrow ``to_pylist``) and
+    ``decode(mv, pos) -> (value, pos)``. A record also lists its
+    ``(name, codec)`` fields, which the block loops walk."""
+
+    arrow_type: pa.DataType
+    encode: Callable
+    decode: Callable
+    fields: tuple = ()
+
+
+def _required(arrow_type, enc, dec, fields=()) -> _Codec:
+    """A codec outside any union: None is an error, never a skipped value."""
+    def encode(buf, v):
+        if v is None:
+            raise ValueError(f"None for a required Avro {arrow_type} value")
+        enc(buf, v)
+    return _Codec(arrow_type, encode, dec, fields)
+
+
+def _packed(arrow_type, fmt: str) -> _Codec:
+    s = struct.Struct(fmt)
+    return _required(arrow_type, lambda buf, v: buf.extend(s.pack(v)),
+                     lambda mv, pos: (s.unpack_from(mv, pos)[0], pos + s.size))
+
+
+def _logical(arrow_type, to_int) -> _Codec:
+    """A logical type on its base int/long. ``encode_block`` casts top-level
+    timestamps to ints vectorized; other values arrive as datetime/date."""
+    return _required(arrow_type, lambda buf, v: _write_long(
+        buf, v if isinstance(v, int) else to_int(v)), _read_long)
+
+
+def _read_string(mv: memoryview, pos: int) -> tuple[str, int]:
+    b, pos = _read_bytes(mv, pos)
+    return b.decode("utf-8"), pos
+
+
+_NULL = _Codec(pa.null(), lambda buf, v: None, lambda mv, pos: (None, pos))
+_PRIMITIVES = {
+    "null": _NULL,
+    "boolean": _required(pa.bool_(), lambda buf, v: buf.append(1 if v else 0),
+                         lambda mv, pos: (mv[pos] == 1, pos + 1)),
+    "int": _required(pa.int32(), _write_long, _read_long),
+    "long": _required(pa.int64(), _write_long, _read_long),
+    "float": _packed(pa.float32(), "<f"),
+    "double": _packed(pa.float64(), "<d"),
+    "bytes": _required(pa.binary(), _write_bytes, _read_bytes),
+    "string": _required(
+        pa.string(), lambda buf, v: _write_bytes(buf, v.encode("utf-8")),
+        _read_string),
+}
+# logicalType -> (the base type it annotates, codec); on any other base the
+# annotation is ignored, as the spec says
+_LOGICAL = {
+    "timestamp-micros": ("long", _logical(
+        pa.timestamp("us"), lambda v: (v - _EPOCH) // _US)),
+    "timestamp-millis": ("long", _logical(
+        pa.timestamp("ms"), lambda v: (v - _EPOCH) // (1000 * _US))),
+    "date": ("int", _logical(
+        pa.date32(), lambda v: v.toordinal() - _EPOCH.toordinal())),
+}
+
+
+def _union(branches: list[_Codec]) -> _Codec:
+    """The one null-or-value rule, for any branch order: the value branch
+    gives the Arrow type, None encodes as the null branch's index, and
+    decoding dispatches on the index read."""
+    values = [c for c in branches if c is not _NULL]
+    if len(values) > 1:
+        raise TypeError(f"Avro union of {len(values)} value types has no "
+                        "Arrow column type (only null and one type)")
+    value = values[0] if values else _NULL
+    tags = {c is _NULL: bytes([2 * i]) for i, c in enumerate(branches)}
+    null_tag, value_tag = tags.get(True), tags.get(False)
+    decs = [c.decode for c in branches]
+
+    def encode(buf, v, _enc=value.encode):
+        if v is not None:
+            buf += value_tag
+            _enc(buf, v)
+        elif null_tag is None:
+            raise ValueError("None for an Avro union with no null branch")
+        else:
+            buf += null_tag
+
+    def decode(mv, pos):
+        ix, pos = _read_long(mv, pos)
+        if not 0 <= ix < len(decs):
+            raise ValueError(f"Avro union index {ix} out of range")
+        return decs[ix](mv, pos)
+    return _Codec(value.arrow_type, encode, decode)
+
+
+def _record(fields: list[tuple[str, _Codec]]) -> _Codec:
+    def encode(buf, v):
+        for name, c in fields:
+            c.encode(buf, v.get(name))
+
+    def decode(mv, pos):
+        out = {}
+        for name, c in fields:
+            out[name], pos = c.decode(mv, pos)
+        return out, pos
+    arrow_type = pa.struct([pa.field(n, c.arrow_type) for n, c in fields])
+    return _required(arrow_type, encode, decode, tuple(fields))
+
+
+def _array(item: _Codec) -> _Codec:
+    def encode(buf, v):
+        if len(v):
+            _write_long(buf, len(v))
+            for x in v:
+                item.encode(buf, x)
+        _write_long(buf, 0)
+
+    def decode(mv, pos):
+        out = []
+        while True:
+            n, pos = _read_long(mv, pos)
+            if n == 0:
+                return out, pos
+            if n < 0:  # block with byte-size prefix
+                _, pos = _read_long(mv, pos)
+                n = -n
+            for _ in range(n):
+                x, pos = item.decode(mv, pos)
+                out.append(x)
+    return _required(pa.list_(item.arrow_type), encode, decode)
+
+
+def _compile(avro_t: object) -> _Codec:
+    """The one walk over an Avro type: primitives, ``_LOGICAL``, records,
+    arrays and unions of null and one type. What the Arrow lattice cannot
+    hold (a union of two value types, map, enum, fixed, a named-type
+    reference) raises TypeError before a byte is read."""
+    if isinstance(avro_t, list):
+        return _union([_compile(b) for b in avro_t])
     if isinstance(avro_t, dict):
-        lt = avro_t.get("logicalType")
-        if lt == "timestamp-micros":
-            return pa.timestamp("us")
-        if lt == "timestamp-millis":
-            return pa.timestamp("ms")
-        if lt == "date":
-            return pa.date32()
-        if avro_t.get("type") == "record":
-            return pa.struct([
-                pa.field(f["name"], _arrow_type_of(f["type"]))
-                for f in avro_t["fields"]
-            ])
-        if avro_t.get("type") == "array":
-            return pa.list_(_arrow_type_of(avro_t["items"]))
-        return _arrow_type_of(avro_t["type"])
-    prim = {
-        "string": pa.string(), "bytes": pa.binary(), "boolean": pa.bool_(),
-        "int": pa.int32(), "long": pa.int64(), "float": pa.float32(),
-        "double": pa.float64(), "null": pa.null(),
-    }
-    if avro_t in prim:
-        return prim[avro_t]
+        kind = avro_t.get("type")
+        logical = _LOGICAL.get(avro_t.get("logicalType"))
+        if logical and kind == logical[0]:
+            return logical[1]
+        if kind == "record":
+            return _record([(f["name"], _compile(f["type"]))
+                            for f in avro_t["fields"]])
+        if kind == "array":
+            return _array(_compile(avro_t["items"]))
+        return _compile(kind)
+    if avro_t in _PRIMITIVES:
+        return _PRIMITIVES[avro_t]
     raise TypeError(f"no Arrow mapping for Avro type {avro_t!r}")
 
 
-def avro_to_arrow_schema(avro_schema: dict) -> pa.Schema:
-    return pa.schema([
-        pa.field(f["name"], _arrow_type_of(f["type"]))
-        for f in avro_schema["fields"]
-    ])
+@functools.lru_cache(maxsize=64)
+def _compile_record(schema_json: str) -> _Codec:
+    """A container's record schema, compiled once per schema text."""
+    rec = _compile(json.loads(schema_json))
+    if not pa.types.is_struct(rec.arrow_type):
+        raise TypeError("an Avro container schema must be a record")
+    return rec
 
 
-# ----------------------------------------------------------- value encode
-
-
-def _encoder_for(avro_t: object):
-    """Return encode(buf, value) for a union-unwrapped Avro type. ``value``
-    is a plain Python value (from Arrow ``to_pylist``); None never reaches
-    the encoder (the union index handles it)."""
-    if isinstance(avro_t, dict):
-        lt = avro_t.get("logicalType")
-        if lt in ("timestamp-micros", "timestamp-millis"):
-            unit_us = lt == "timestamp-micros"
-
-            def enc_ts(buf, v, _us=unit_us):
-                if hasattr(v, "timestamp"):  # datetime from to_pylist
-                    import datetime as _dt
-
-                    epoch = _dt.datetime(1970, 1, 1)
-                    micros = round((v - epoch).total_seconds() * 1e6)
-                    _write_long(buf, micros if _us else micros // 1000)
-                else:
-                    _write_long(buf, int(v))
-            return enc_ts
-        if lt == "date":
-            def enc_date(buf, v):
-                if hasattr(v, "toordinal"):
-                    _write_long(buf, v.toordinal() - 719163)
-                else:
-                    _write_long(buf, int(v))
-            return enc_date
-        if avro_t.get("type") == "record":
-            subs = [
-                (f["name"], _encoder_for(_non_null(f["type"])),
-                 isinstance(f["type"], list))
-                for f in avro_t["fields"]
-            ]
-
-            def enc_rec(buf, v, _subs=subs):
-                for name, enc, is_union in _subs:
-                    x = v.get(name)
-                    if not is_union:  # bare "null": zero bytes per spec
-                        continue
-                    if x is None:
-                        _write_long(buf, 0)
-                    else:
-                        _write_long(buf, 1)
-                        enc(buf, x)
-            return enc_rec
-        if avro_t.get("type") == "array":
-            item = _encoder_for(_non_null(avro_t["items"]))
-            item_union = isinstance(avro_t["items"], list)
-
-            def enc_arr(buf, v, _item=item, _u=item_union):
-                if len(v):
-                    _write_long(buf, len(v))
-                    for x in v:
-                        if not _u:  # items are bare "null": zero bytes
-                            continue
-                        if x is None:
-                            _write_long(buf, 0)
-                        else:
-                            _write_long(buf, 1)
-                            _item(buf, x)
-                _write_long(buf, 0)
-            return enc_arr
-        return _encoder_for(avro_t["type"])
-    if avro_t in ("int", "long"):
-        return _write_long
-    if avro_t == "string":
-        return lambda buf, v: _write_bytes(buf, v.encode("utf-8"))
-    if avro_t == "bytes":
-        return _write_bytes
-    if avro_t == "boolean":
-        return lambda buf, v: buf.append(1 if v else 0)
-    if avro_t == "double":
-        return lambda buf, v: buf.extend(struct.pack("<d", v))
-    if avro_t == "float":
-        return lambda buf, v: buf.extend(struct.pack("<f", v))
-    if avro_t == "null":
-        return lambda buf, v: None
-    raise TypeError(f"no encoder for Avro type {avro_t!r}")
-
-
-def _non_null(t: object) -> object:
-    if isinstance(t, list):
-        branches = [b for b in t if b != "null"]
-        return branches[0] if branches else "null"
-    return t
+# ---------------------------------------------------------- block codec
 
 
 def encode_block(table: pa.Table, avro_schema: dict) -> bytes:
     """Encode one Arrow table as the concatenated Avro binary records of a
-    container block (uncompressed payload; count = table.num_rows).
-
-    Timestamp columns are pre-converted to int64 micros vectorized (the
-    per-row encoder then writes plain longs) — the only per-row work is
-    the tight union-index + primitive encode loop."""
-    buf = bytearray()
+    container block (uncompressed payload; count = table.num_rows)."""
+    rec = _compile_record(json.dumps(avro_schema))
     cols = []
-    encs = []
-    unions = []
-    for f in avro_schema["fields"]:
-        col = table.column(f["name"])
-        t = _non_null(f["type"])
-        if isinstance(t, dict) and t.get("logicalType") in (
-            "timestamp-micros", "timestamp-millis"
-        ):
-            unit = "us" if t["logicalType"] == "timestamp-micros" else "ms"
-            col = col.cast(pa.timestamp(unit)).cast(pa.int64())
-        elif isinstance(t, dict) and t.get("logicalType") == "date":
-            col = col.cast(pa.date32()).cast(pa.int32())
+    for name, c in rec.fields:
+        col, t = table.column(name), c.arrow_type
+        if pa.types.is_timestamp(t):  # tz-aware columns too
+            col = col.cast(t).cast(pa.int64())
         cols.append(col.to_pylist())
-        encs.append(_encoder_for(t))
-        unions.append(isinstance(f["type"], list))
-    for row in range(table.num_rows):
-        for ci in range(len(cols)):
-            if not unions[ci]:  # bare "null" field: zero bytes per spec
-                continue
-            v = cols[ci][row]
-            if v is None:
-                _write_long(buf, 0)
-            else:
-                _write_long(buf, 1)
-                encs[ci](buf, v)
+    buf = bytearray()
+    encs = [c.encode for _, c in rec.fields]
+    for row in zip(*cols):
+        for enc, v in zip(encs, row):
+            enc(buf, v)
     return bytes(buf)
-
-
-# ----------------------------------------------------------- value decode
-
-
-def _decoder_for(avro_t: object):
-    """Return decode(mv, pos) -> (value, pos) for a union-unwrapped type."""
-    if isinstance(avro_t, dict):
-        if avro_t.get("type") == "record":
-            subs = [
-                (f["name"], _decoder_for(_non_null(f["type"])),
-                 isinstance(f["type"], list))
-                for f in avro_t["fields"]
-            ]
-
-            def dec_rec(mv, pos, _subs=subs):
-                out = {}
-                for name, dec, is_union in _subs:
-                    if not is_union:  # bare "null": zero bytes per spec
-                        out[name] = None
-                        continue
-                    ix, pos = _read_long(mv, pos)
-                    if ix == 0:
-                        out[name] = None
-                    else:
-                        out[name], pos = dec(mv, pos)
-                return out, pos
-            return dec_rec
-        if avro_t.get("type") == "array":
-            item = _decoder_for(_non_null(avro_t["items"]))
-            item_union = isinstance(avro_t["items"], list)
-
-            def dec_arr(mv, pos, _item=item, _u=item_union):
-                out = []
-                while True:
-                    n, pos = _read_long(mv, pos)
-                    if n == 0:
-                        return out, pos
-                    if n < 0:  # block with byte-size prefix
-                        _, pos = _read_long(mv, pos)
-                        n = -n
-                    for _ in range(n):
-                        if not _u:  # bare "null" items: zero bytes
-                            out.append(None)
-                            continue
-                        ix, pos = _read_long(mv, pos)
-                        if ix == 0:
-                            out.append(None)
-                        else:
-                            v, pos = _item(mv, pos)
-                            out.append(v)
-            return dec_arr
-        return _decoder_for(avro_t["type"])  # logical types ride the base
-    if avro_t in ("int", "long"):
-        return _read_long
-    if avro_t == "string":
-        def dec_str(mv, pos):
-            b, pos = _read_bytes(mv, pos)
-            return b.decode("utf-8"), pos
-        return dec_str
-    if avro_t == "bytes":
-        return _read_bytes
-    if avro_t == "boolean":
-        return lambda mv, pos: (mv[pos] == 1, pos + 1)
-    if avro_t == "double":
-        return lambda mv, pos: (
-            struct.unpack_from("<d", mv, pos)[0], pos + 8
-        )
-    if avro_t == "float":
-        return lambda mv, pos: (
-            struct.unpack_from("<f", mv, pos)[0], pos + 4
-        )
-    if avro_t == "null":
-        return lambda mv, pos: (None, pos)
-    raise TypeError(f"no decoder for Avro type {avro_t!r}")
 
 
 def decode_block(payload: bytes, count: int, avro_schema: dict) -> pa.Table:
     """Decode one container block's records into an Arrow table typed by
-    the inverse lattice (timestamps come back as timestamp[us/ms] etc.)."""
+    the inverse lattice (timestamps come back as timestamp[us/ms] etc.).
+    A payload that does not hold exactly ``count`` records raises
+    ValueError."""
+    rec = _compile_record(json.dumps(avro_schema))
     mv = memoryview(payload)
     pos = 0
-    names = [f["name"] for f in avro_schema["fields"]]
-    decs = [_decoder_for(_non_null(f["type"])) for f in avro_schema["fields"]]
-    unions = [isinstance(f["type"], list) for f in avro_schema["fields"]]
-    cols: list[list] = [[] for _ in names]
-    for _ in range(count):
-        for ci, dec in enumerate(decs):
-            if not unions[ci]:  # bare "null" field: zero bytes per spec
-                cols[ci].append(None)
-                continue
-            ix, pos = _read_long(mv, pos)
-            if ix == 0:
-                cols[ci].append(None)
-            else:
+    decs = [c.decode for _, c in rec.fields]
+    cols: list[list] = [[] for _ in decs]
+    appends = [c.append for c in cols]
+    try:
+        for _ in range(count):
+            for dec, append in zip(decs, appends):
                 v, pos = dec(mv, pos)
-                cols[ci].append(v)
-    arrays = []
-    schema = avro_to_arrow_schema(avro_schema)
-    for ci, f in enumerate(schema):
-        t = f.type
-        if pa.types.is_timestamp(t):
-            arrays.append(pa.array(cols[ci], pa.int64()).cast(t))
-        elif pa.types.is_date32(t):
-            arrays.append(pa.array(cols[ci], pa.int32()).cast(t))
-        else:
-            arrays.append(pa.array(cols[ci], t))
-    return pa.Table.from_arrays(arrays, schema=schema)
+                append(v)
+    except (IndexError, struct.error):
+        pos = len(mv) + 1
+    if pos != len(mv):
+        raise ValueError(f"Avro block does not hold exactly {count} records "
+                         f"(stopped at byte {pos} of {len(mv)})")
+    schema = pa.schema(rec.arrow_type)
+    return pa.Table.from_arrays(
+        [pa.array(col, f.type) for col, f in zip(cols, schema)], schema=schema
+    )
 
 
 # -------------------------------------------------------- container file
@@ -455,10 +405,8 @@ def write_container(
 
     avro_schema = arrow_to_avro_schema(table.schema)
     blocks = []
-    for off in range(0, max(table.num_rows, 1), rows_per_block):
+    for off in range(0, table.num_rows, rows_per_block):
         chunk = table.slice(off, rows_per_block)
-        if chunk.num_rows == 0 and table.num_rows > 0:
-            continue
         blocks.append((chunk.num_rows, encode_block(chunk, avro_schema)))
     if sync is None:
         h = hashlib.blake2b(digest_size=16)
@@ -466,8 +414,7 @@ def write_container(
         for _, payload in blocks:
             h.update(payload)
         sync = h.digest()
-    buf = bytearray()
-    buf += MAGIC
+    buf = bytearray(MAGIC)
     meta = {
         "avro.schema": json.dumps(avro_schema).encode("utf-8"),
         "avro.codec": codec.encode("utf-8"),
@@ -479,8 +426,6 @@ def write_container(
     _write_long(buf, 0)
     buf += sync
     for count, payload in blocks:
-        if count == 0:
-            continue
         if codec == "deflate":
             payload = zlib.compress(payload)[2:-4]  # raw RFC-1951 stream
         elif codec != "null":
@@ -547,10 +492,7 @@ def read_container(path_or_bytes) -> pa.Table:
             raise ValueError(f"unsupported avro codec {codec!r}")
         tables.append(decode_block(payload, count, avro_schema))
     if not tables:
-        return pa.Table.from_arrays(
-            [pa.array([], f.type) for f in avro_to_arrow_schema(avro_schema)],
-            schema=avro_to_arrow_schema(avro_schema),
-        )
+        return avro_to_arrow_schema(avro_schema).empty_table()
     return pa.concat_tables(tables)
 
 
@@ -577,8 +519,12 @@ def read_avro_source(paths, **kw):
     parallel tasks (``read_binary_files`` — one task per file, the WARC
     source's shape), decode each container to Arrow in the task. Column
     pruning happens post-decode (Avro is row-major; there is no row-group
-    projection to push down — documented format trade vs Parquet)."""
+    projection to push down — documented format trade vs Parquet). Files
+    of different vintages in one batch are unified additively and each
+    conformed before the concat."""
     import ray.data as rd
+
+    from ..schema import conform, unify_additive
 
     # suffix filter is the invariant export_avro's tmp naming relies on
     # (a crashed attempt's non-.avro tmp must never poison reads)
@@ -588,7 +534,10 @@ def read_avro_source(paths, **kw):
 
     def decode(t: pa.Table) -> pa.Table:
         parts = [read_container(b.as_py()) for b in t.column("bytes")]
-        return pa.concat_tables(parts) if parts else pa.table({})
+        if not parts:
+            return pa.table({})
+        schema = unify_additive(*(p.schema for p in parts))
+        return pa.concat_tables([conform(p, schema) for p in parts])
 
     decode.__name__ = "avro_decode"
     return ds.map_batches(decode, batch_format="pyarrow", batch_size=None)

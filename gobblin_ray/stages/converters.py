@@ -490,7 +490,10 @@ def json_to_typed_records(ds, field: str, spec: dict[str, str],
             return None
         try:
             if kind in ("int", "long"):
-                return int(v) if not isinstance(v, str) else int(float(v))
+                try:  # exact first: an int64 string past 2**53 survives
+                    return int(v)
+                except ValueError:  # decimal strings ("2.5", "1e3")
+                    return int(float(v))
             if kind in ("float", "double"):
                 return float(v)
             if kind == "boolean":

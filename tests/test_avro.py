@@ -10,6 +10,8 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gobblin_ray.sources.avro import (
     MAGIC,
@@ -106,6 +108,171 @@ def test_corrupt_sync_marker_detected():
         read_container(bytes(raw))
 
 
+# ------------------------------------------------ foreign containers
+# Hand-built inputs another Avro writer may produce: required fields,
+# unions in either branch order, and payloads that do not frame.
+
+_FOREIGN = {
+    "type": "record", "name": "Foreign", "fields": [
+        {"name": "a", "type": "long"},
+        {"name": "b", "type": ["null", "string"]},
+    ],
+}
+
+
+def _foreign_container(schema: dict, count: int, payload: bytes) -> bytes:
+    """One uncompressed container block around a hand-encoded payload."""
+    import json
+
+    from gobblin_ray.sources.avro import _write_bytes, _write_long
+
+    buf = bytearray(MAGIC)
+    _write_long(buf, 1)
+    _write_bytes(buf, b"avro.schema")
+    _write_bytes(buf, json.dumps(schema).encode())
+    _write_long(buf, 0)
+    sync = bytes(range(16))
+    buf += sync
+    _write_long(buf, count)
+    _write_long(buf, len(payload))
+    return bytes(buf + payload + sync)
+
+
+def test_foreign_required_field_decodes():
+    from gobblin_ray.sources.avro import decode_block
+
+    # a = 7 (zigzag 14), b = union index 1 then the string "x"
+    got = decode_block(b"\x0e\x02\x02x", 1, _FOREIGN)
+    assert got.to_pylist() == [{"a": 7, "b": "x"}]
+    back = read_container(_foreign_container(_FOREIGN, 1, b"\x0e\x02\x02x"))
+    assert back.to_pylist() == [{"a": 7, "b": "x"}]
+    assert back.schema == pa.schema([("a", pa.int64()), ("b", pa.string())])
+
+
+def test_foreign_value_first_union_decodes():
+    schema = {"type": "record", "name": "R",
+              "fields": [{"name": "n", "type": ["long", "null"]}]}
+    # 42 is branch 0 (zigzag 84); the second row is branch 1, null
+    back = read_container(_foreign_container(schema, 2, b"\x00\x54\x02"))
+    assert back.column("n").to_pylist() == [42, None]
+
+
+def test_foreign_required_nested_record_and_array_items():
+    schema = {"type": "record", "name": "R", "fields": [
+        {"name": "r", "type": {"type": "record", "name": "Inner", "fields": [
+            {"name": "x", "type": "long"},
+            {"name": "s", "type": ["null", "string"]},
+        ]}},
+        {"name": "l", "type": {"type": "array", "items": "long"}},
+        {"name": "t", "type": "int"},
+    ]}
+    # r = {x: 3, s: "hi"}; l = one block of two items [1, 2]; t = -1
+    payload = b"\x06\x02\x04hi" + b"\x04\x02\x04\x00" + b"\x01"
+    back = read_container(_foreign_container(schema, 1, payload))
+    assert back.to_pylist() == [{"r": {"x": 3, "s": "hi"}, "l": [1, 2],
+                                 "t": -1}]
+
+
+def test_foreign_schema_outside_the_lattice_rejected():
+    for bad in (
+        ["null", "long", "string"],
+        {"type": "map", "values": "long"},
+        {"type": "enum", "name": "E", "symbols": ["A"]},
+        {"type": "fixed", "name": "F", "size": 4},
+        "Foreign",  # a named-type reference
+    ):
+        schema = {"type": "record", "name": "R",
+                  "fields": [{"name": "v", "type": bad}]}
+        with pytest.raises(TypeError):
+            read_container(_foreign_container(schema, 0, b""))
+        with pytest.raises(TypeError):
+            avro_to_arrow_schema(schema)
+
+
+@pytest.mark.parametrize("payload,count", [
+    (b"\x0e\x04", 1),  # union index 2 of a two-branch union
+    (b"\x0e\x02\x02x\x00", 1),  # one trailing byte
+    (b"\x0e\x02\x02x\x0e\x00", 1),  # a whole trailing record
+    (b"\x0e\x02\x04x", 1),  # string cut short
+    (b"\x0e\x02\x02x", 2),  # count says two records, one is there
+    (b"\x8e", 1),  # varint cut short
+    (b"\x0e\x02\x03", 1),  # negative string length
+])
+def test_foreign_payload_that_does_not_frame_raises(payload, count):
+    from gobblin_ray.sources.avro import decode_block
+
+    with pytest.raises(ValueError):
+        decode_block(payload, count, _FOREIGN)
+    with pytest.raises(ValueError):
+        read_container(_foreign_container(_FOREIGN, count, payload))
+
+
+def test_required_field_rejects_none_on_encode():
+    from gobblin_ray.sources.avro import encode_block
+
+    t = pa.table({"a": pa.array([1, None], pa.int64()),
+                  "b": pa.array(["x", None])})
+    with pytest.raises(ValueError):
+        encode_block(t, _FOREIGN)
+    # a = 1 (zigzag 2), b = union index 1 then the string "x"
+    assert encode_block(t.slice(0, 1), _FOREIGN) == b"\x02\x02\x02x"
+
+
+_LEAVES = {
+    pa.string(): st.text(max_size=4),
+    pa.binary(): st.binary(max_size=4),
+    pa.bool_(): st.booleans(),
+    pa.int32(): st.integers(-2**31, 2**31 - 1),
+    pa.int64(): st.integers(-2**63, 2**63 - 1),
+    pa.float32(): st.floats(width=32, allow_nan=False),
+    pa.float64(): st.floats(allow_nan=False),
+    pa.timestamp("us"): st.integers(-2**55, 2**55),
+    pa.timestamp("ms"): st.integers(-2**45, 2**45),
+    pa.date32(): st.integers(-719162, 2932896),
+    pa.null(): st.none(),
+}
+_lattice_types = st.recursive(
+    st.sampled_from(list(_LEAVES)),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(
+            lambda ts: pa.struct([(f"f{i}", t) for i, t in enumerate(ts)])),
+        inner.map(pa.list_),
+    ),
+    max_leaves=6,
+)
+
+
+def _values_of(t: pa.DataType):
+    if pa.types.is_struct(t):
+        value = st.fixed_dictionaries({f.name: _values_of(f.type) for f in t})
+    elif pa.types.is_list(t):
+        value = st.lists(_values_of(t.value_type), max_size=3)
+    else:
+        value = _LEAVES[t]
+    return st.none() | value
+
+
+@st.composite
+def _lattice_tables(draw):
+    types = draw(st.lists(_lattice_types, min_size=1, max_size=4))
+    n = draw(st.integers(0, 5))
+    return pa.table({
+        f"c{i}": pa.array(draw(st.lists(_values_of(t), min_size=n,
+                                        max_size=n)), t)
+        for i, t in enumerate(types)
+    })
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lattice_tables(), st.sampled_from(["deflate", "null"]))
+def test_lattice_roundtrip_property(t, codec):
+    """arrow -> avro -> arrow is the identity on every lattice schema:
+    nested structs and lists, timestamps inside structs, null columns."""
+    buf = io.BytesIO()
+    write_container(t, buf, codec=codec, rows_per_block=2)
+    assert read_container(buf.getvalue()).equals(t)
+    assert avro_to_arrow_schema(arrow_to_avro_schema(t.schema)) == t.schema
+
 def test_export_avro_distributed_roundtrip(ray_session, tmp_path):
     import ray.data as rd
 
@@ -127,6 +294,29 @@ def test_export_avro_distributed_roundtrip(ray_session, tmp_path):
     got = back.to_pandas().sort_values("k").reset_index(drop=True)
     assert got["k"].tolist() == list(range(500))
     assert got["v"].tolist() == [f"v{i}" for i in range(500)]
+
+
+def test_avro_source_unifies_mixed_vintages(ray_session, monkeypatch):
+    """Containers of two schema vintages decoded in ONE batch: the columns
+    are unified additively (int32 widened to int64, the later column
+    null-filled) instead of failing the concat."""
+    import ray.data as rd
+
+    from gobblin_ray.sources.avro import read_avro_source
+
+    blobs = []
+    for t in (pa.table({"k": pa.array([1, 2], pa.int32())}),
+              pa.table({"k": pa.array([3], pa.int64()),
+                        "extra": pa.array(["x"])})):
+        buf = io.BytesIO()
+        write_container(t, buf)
+        blobs.append(buf.getvalue())
+    # both files in one block, as a read task listing several files yields
+    one_block = rd.from_arrow(pa.table({"bytes": pa.array(blobs)}))
+    monkeypatch.setattr(rd, "read_binary_files", lambda *a, **kw: one_block)
+    rows = sorted(read_avro_source("unused").take_all(), key=lambda r: r["k"])
+    assert rows == [{"k": 1, "extra": None}, {"k": 2, "extra": None},
+                    {"k": 3, "extra": "x"}]
 
 
 def test_export_avro_identical_blocks_both_land(ray_session, tmp_path):
@@ -179,6 +369,12 @@ def test_json_typed_records_converter(ray_session):
     assert out["a"].isna().tolist()[2:] == [True, True]
     with pytest.raises(TypeError, match="scalar"):
         json_to_typed_records(ds, "js", {"a": "record"}).materialize()
+    # a string int64 past 2**53 keeps every digit; decimals still coerce
+    big = rd.from_arrow(pa.table(
+        {"js": ['{"a": "9007199254740993", "b": "12.0"}']}))
+    (row,) = json_to_typed_records(
+        big, "js", {"a": "long", "b": "long"}).take_all()
+    assert row["a"] == 9007199254740993 and row["b"] == 12
 
 
 def test_bare_null_fields_encode_zero_bytes():
@@ -373,3 +569,39 @@ def test_bootstrap_from_mixed_snapshot_dir(ray_session, tmp_path_factory):
     m = eng.bootstrap(mix)
     rows = sum(s.rows for s in m.buckets.values())
     assert rows == pages.num_rows  # every shard of BOTH formats landed
+
+
+@pytest.mark.parametrize("fmt", ["parquet", "avro"])
+def test_bootstrap_keeps_columns_of_later_shards(ray_session,
+                                                 tmp_path_factory, fmt):
+    """A column only the second snapshot shard carries survives bootstrap
+    with its values: every shard's schema is probed, not the first one's."""
+    from gobblin_ray import synth
+    from gobblin_ray.engine import CdcEngine, EngineConfig
+
+    d = str(tmp_path_factory.mktemp(f"later_corpus_{fmt}"))
+    synth.write_corpus(d, n_pages=60, n_events=300, shard_rows=300)
+    pages = pq.read_table(f"{d}/pages.parquet")
+    half = pages.num_rows // 2
+    second = pages.slice(half)
+    second = second.append_column(
+        "extra", pa.array(range(second.num_rows), pa.int64()))
+    snap = str(tmp_path_factory.mktemp(f"later_pages_{fmt}"))
+    for name, part in (("part-0", pages.slice(0, half)), ("part-1", second)):
+        if fmt == "avro":
+            write_container(part, f"{snap}/{name}.avro")
+        else:
+            pq.write_table(part, f"{snap}/{name}.parquet")
+
+    lake = str(tmp_path_factory.mktemp(f"later_lake_{fmt}"))
+    eng = CdcEngine(lake, f"{d}/events",
+                    EngineConfig(num_buckets=4, epoch_width=300))
+    eng.bootstrap(snap)
+    live = eng.read_table_arrow()
+    assert "extra" in live.column_names
+    got = dict(zip(live.column("url").to_pylist(),
+                   live.column("extra").to_pylist()))
+    want = dict(zip(second.column("url").to_pylist(),
+                    second.column("extra").to_pylist()))
+    assert {u: got[u] for u in want} == want
+    assert sum(v is not None for v in got.values()) == len(want)

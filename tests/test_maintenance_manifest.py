@@ -88,7 +88,8 @@ def _cmd_compact(template, tmp_path):
     before = eng.store.latest()
     eng.compact_now()
     touched = {b for b, s in before.buckets.items() if s.delta_epochs}
-    return eng, before, touched, {"forced_compactions": 1}
+    return eng, before, touched, {"forced_compactions": 1,
+                                  "compactions": len(touched)}
 
 
 def _cmd_update(template, tmp_path):
