@@ -5,22 +5,25 @@ The Ray-Data-native re-expression of Gobblin's job lifecycle
 
     resume from checkpoint manifest            # commit-sequence replay :453-458
     for each epoch in plan_epochs(log, wm):    # Source.getWorkunits analog
-        read pruned event shards (predicate + schema pushdown)
-        map_batches: normalize / row policies  # Converter + RowLevelPolicy
-        map_batches: bucket + salt + partial LWW dedup   # combiner pre-agg
-        [hot epoch] groupby(bucket, salt).map_groups(partial LWW)
-        groupby(bucket).map_groups(merge with base -> staged parquet)
+        map tasks, one per run of pruned row groups / avro files:
+            read + (low, high] filter + conform
+            renames, transforms, row policies  # Converter + RowLevelPolicy
+            bucket + salt + partial LWW dedup   # combiner pre-agg
+            -> one url-disjoint slot per bucket (per salt if hot)
+        [hot bucket] salted_partial task per (bucket, salt): partial LWW
+        merge_bucket task per bucket: merge -> staged parquet
         promote staged files (idempotent)      # FsRenameCommitStep analog
         commit manifest (atomic JSON)          # DatasetStateCommitStep analog
 
-Heavy data never returns to the driver: merge tasks write bucket base files
-directly and return only tiny lineage rows. Exactly-once follows from
-deterministic staged names + idempotent promote + the manifest appearing
-last (SURVEY.md §4.4).
+Heavy data never returns to the driver: slots travel between tasks by
+reference, merge tasks write bucket base files directly and return only
+tiny lineage rows. Exactly-once follows from deterministic staged names +
+idempotent promote + the manifest appearing last (SURVEY.md §4.4).
 
 Scale posture: per-epoch driver work is O(shards + buckets); the single
-all-to-all exchange per epoch is the groupby on ``url_bucket`` whose payload
-has already been collapsed by within-batch LWW partial dedup (and, for hot
+all-to-all per epoch is a push exchange of plain Ray tasks that routes by
+the ``url_bucket`` id the map side computes — no sort — and its payload has
+already been collapsed by the map-side LWW partial dedup (and, for hot
 buckets, a salted partial-merge stage). Buckets (``num_buckets``) are sized
 so one bucket's base file fits comfortably in a worker's heap — at 100 TB
 raise ``num_buckets``, not the block size.
@@ -190,8 +193,9 @@ class EngineConfig:
     epoch_bytes: int | None = None  # size-based epoch planning: target log
     # bytes per epoch (overrides fixed epoch_width; Kafka size-estimator
     # packing analog) — epoch_width then only caps the max width
-    blocks_per_cpu: float = 1.0  # epoch read parallelism = min(buckets,
-    # cpus * this); >1 trades scheduling overhead for straggler hiding
+    blocks_per_cpu: float = 1.0  # epoch map tasks = min(read splits,
+    # buckets, cpus * this); >1 trades scheduling overhead for straggler
+    # hiding
     job_lock: bool = True  # FileBasedJobLock analog: refuse to run while
     # another live driver holds <lake>/_locks/job.lock (two concurrent
     # replays would race staged promotes); stale locks are taken over
@@ -295,9 +299,9 @@ def _lww_reduce_weighted(tbl: pa.Table) -> pa.Table:
 
 
 class _BucketAndReduce:
-    """Stateless batch stage: derive bucket (+ salt) columns, then collapse
-    the batch with a partial LWW reduce — the combiner that keeps the
-    groupby shuffle payload at O(distinct urls per batch), not O(events)."""
+    """Stateless map-side stage: derive bucket (+ salt) columns, then
+    collapse the rows with a partial LWW reduce — the combiner that keeps
+    the exchange payload at O(distinct urls per map task), not O(events)."""
 
     def __init__(self, num_buckets: int, hot_buckets: dict[int, int]):
         self.num_buckets = num_buckets
@@ -341,47 +345,170 @@ NEARDUP_STAGE_PREFIX = "neardup."
 NEARDUP_ERR = "neardup"
 
 
-class _AnnotateNeardup:
-    """Actor-pool stage diverting near-dup INSERT events: sets the
-    row-policy error column to 'neardup' so the merge stage routes them to
-    the error sink exactly like any RowLevelPolicy failure — they stay
-    visible under _errors/ and count in the commit gate. Verdicts are per
-    (url, epoch) UNIT: every insert event of a flagged url diverts, even
-    when the url had several inserts with different texts this epoch (see
-    the EngineConfig.neardup_dedup contract). The dup-url array is built
-    inside a Ray task (functions/dedup._ids_array_ref — object-store
-    resident, never on the driver heap) and fetched per actor in
-    __init__, never captured per task."""
+def _annotate_neardup(t: pa.Table, dups: pa.Array) -> pa.Table:
+    """Divert near-dup INSERT events: set the row-policy error column to
+    'neardup' so the merge stage routes them to the error sink exactly like
+    any RowLevelPolicy failure — they stay visible under _errors/ and count
+    in the commit gate. Verdicts are per (url, epoch) UNIT: every insert
+    event of a flagged url diverts, even when the url had several inserts
+    with different texts this epoch (see the EngineConfig.neardup_dedup
+    contract). ``dups`` is the sorted dup-url array a Ray task built
+    (functions/dedup._ids_array_ref), handed to the map task by reference
+    — it never visits the driver heap."""
+    err = t.column(_ERR_COL)
+    hit = pc.and_(
+        pc.and_(
+            pc.is_null(err),
+            pc.fill_null(pc.equal(t.column("op"), pa.scalar("insert")), False),
+        ),
+        pc.fill_null(pc.is_in(t.column("url"), value_set=dups), False),
+    )
+    if not pc.any(hit).as_py():
+        return t
+    new_err = pc.if_else(hit, pa.scalar(NEARDUP_ERR), err)
+    return t.set_column(t.schema.get_field_index(_ERR_COL), _ERR_COL, new_err)
 
-    def __init__(self, dup_ref):
-        import ray
 
-        self.dups = ray.get(dup_ref)
+def _enforce_constraints(t: pa.Table, constraints: dict) -> pa.Table:
+    """Persisted table constraints (constraints.py): violating UPSERT
+    events quarantine like any row-policy failure; deletes are exempt
+    (tombstones carry null content columns)."""
+    from .constraints import annotate_violations
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        err = t.column(_ERR_COL)
-        hit = pc.and_(
-            pc.and_(
-                pc.is_null(err),
-                pc.fill_null(
-                    pc.equal(t.column("op"), pa.scalar("insert")), False
-                ),
-            ),
-            pc.fill_null(
-                pc.is_in(t.column("url"), value_set=self.dups), False
-            ),
-        )
-        if not pc.any(hit).as_py():
-            return t
-        new_err = pc.if_else(hit, pa.scalar(NEARDUP_ERR), err)
-        return t.set_column(
-            t.schema.get_field_index(_ERR_COL), _ERR_COL, new_err
-        )
+    err = t.column(_ERR_COL).to_numpy(zero_copy_only=False).astype(object)
+    exempt = pc.fill_null(
+        pc.equal(t.column("op"), pa.scalar("delete")), False
+    ).to_numpy(zero_copy_only=False).astype(bool)
+    err = annotate_violations(constraints, t, err, exempt)
+    return t.set_column(t.schema.get_field_index(_ERR_COL), _ERR_COL,
+                        pa.array(err, pa.string()))
+
+
+@dataclass(frozen=True)
+class _EpochPrep:
+    """What each map task of an epoch does to its rows before routing."""
+
+    low: int  # the epoch's (low, high] event_seq span
+    high: int
+    schema: pa.Schema  # the unified events schema every split conforms to
+    renames: dict  # stored-name -> current-name (producers lag renames)
+    transforms: tuple  # EngineConfig.event_transforms
+    normalize: object  # the row policies, resolved in the driver
+    constraints: dict  # Manifest.constraints
+
+
+def _prepare_events(reads: list[tuple[str, list[int] | None]],
+                    prep: _EpochPrep) -> pa.Table:
+    """Read one map task's inputs in order — row groups of a parquet
+    file, or a whole avro container (``None``) — keep the (low, high]
+    span, conform, then rename, convert, validate and constrain."""
+    from .sources import avro
+
+    parts = []
+    for path, groups in reads:
+        if groups is None:
+            t = avro.read_container(path)
+        else:
+            with pq.ParquetFile(path) as pf:
+                t = pf.read_row_groups(groups)
+        seq = t.column("event_seq")
+        parts.append(conform(t.filter(pc.and_(
+            pc.greater(seq, prep.low), pc.less_equal(seq, prep.high))),
+            prep.schema))
+    t = apply_renames(pa.concat_tables(parts), prep.renames)
+    # Converter chain runs AFTER rename mapping (transforms are written
+    # against CURRENT column names) and BEFORE validation.
+    for i, fn in enumerate(prep.transforms):
+        out = fn(t)
+        if out.num_rows != t.num_rows:
+            raise ValueError(
+                f"event_transforms[{i}] changed the row count "
+                f"({t.num_rows} -> {out.num_rows}); converters are "
+                "value-rewriting — divert rows via row policies"
+            )
+        if out.schema != t.schema:
+            raise ValueError(
+                f"event_transforms[{i}] changed the schema; "
+                "evolution must come from the log"
+            )
+        t = out
+    t = prep.normalize(t)
+    return _enforce_constraints(t, prep.constraints) if prep.constraints else t
+
+
+def _slot_starts(num_buckets: int, hot_buckets: dict[int, int]) -> np.ndarray:
+    """First exchange slot of each bucket (one, or one per salt if hot);
+    the last entry is the slot count."""
+    sizes = [hot_buckets.get(b, 1) for b in range(num_buckets)]
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+
+def _map_inputs(splits: list[tuple[str, int | None]],
+                n: int) -> list[list[tuple[str, list[int] | None]]]:
+    """Cut an epoch's splits into ``n`` contiguous runs, log order kept,
+    each the reads of one map task: consecutive row groups of one parquet
+    file make one read, an avro file is read whole."""
+    out = []
+    for idx in np.array_split(np.arange(len(splits)), n):
+        reads: list = []
+        for path, g in (splits[i] for i in idx):
+            if g is not None and reads and reads[-1][0] == path:
+                reads[-1][1].append(g)
+            else:
+                reads.append((path, None if g is None else [g]))
+        out.append(reads)
+    return out
+
+
+def _map_events(source, prep: _EpochPrep | None, route=None, dups=None):
+    """The map side of an epoch's push exchange: ``source`` (reads to
+    prepare under ``prep``, or a table an earlier call prepared) without
+    ``route``; with ``route = (num_buckets, hot_buckets)`` near-dup
+    annotated, bucketed, combined and cut into url-disjoint slots,
+    returned as ``(rows per slot, *slot tables)`` — one object each."""
+    t = source if prep is None else _prepare_events(source, prep)
+    if route is None:
+        return t
+    num_buckets, hot_buckets = route
+    if dups is not None:
+        t = _annotate_neardup(t, dups)
+    t = _BucketAndReduce(num_buckets, hot_buckets)(t)
+    starts = _slot_starts(num_buckets, hot_buckets)
+    slot = (starts[t.column(_BUCKET_COL).to_numpy()]
+            + t.column(_SALT_COL).to_numpy())
+    order = np.argsort(slot, kind="stable")
+    counts = np.bincount(slot, minlength=int(starts[-1]))
+    ends = np.cumsum(counts)
+    return (counts, *(t.take(order[e - n:e]) for n, e in zip(counts, ends)))
+
+
+def _salted_partial(*slices: pa.Table) -> pa.Table:
+    """One (bucket, salt) reducer of a hot bucket."""
+    return _salted_partial_reduce(pa.concat_tables(slices))
+
+
+def _merge_slices(merge: "_MergeBucket", *slices: pa.Table) -> pa.Table:
+    """One bucket's reducer: its slices, in split order, to ``merge``."""
+    return merge(pa.concat_tables(slices))
+
+
+@functools.cache
+def _exchange_tasks():
+    """The exchange's Ray tasks, registered once per process: the map
+    task (named per call), ``salted_partial`` and ``merge_bucket``. They
+    resolve ``_BucketAndReduce``, ``_salted_partial_reduce`` and
+    ``_MergeBucket`` through this module's attributes in the worker."""
+    import ray
+
+    task = ray.remote(num_cpus=1)
+    return (task(_map_events),
+            task(_salted_partial).options(name="salted_partial"),
+            task(_merge_slices).options(name="merge_bucket"))
 
 
 class _MergeBucket:
-    """Per-bucket apply task (runs inside groupby(url_bucket).map_groups —
-    the single wide exchange of the epoch).
+    """Per-bucket apply task (the ``merge_bucket`` reducer of the epoch's
+    push exchange: it gets every slot routed to its bucket).
 
     Normal epoch: LWW-reduce the bucket's events and write a DELTA file —
     O(epoch events), the base is not even read (Gobblin's append-only
@@ -763,65 +890,6 @@ class CdcEngine:
 
     # ---------------- epoch apply ----------------
 
-    def _read_epoch_events(self, log_meta: dict, epoch: planmod.Epoch, events_schema):
-        import ray.data as rd
-
-        shards = planmod.prune_shards(log_meta, epoch.low_seq, epoch.high_seq)
-        paths = [os.path.join(self.events_dir, s["file"]) for s in shards]
-        flt = (pc.field("event_seq") > pa.scalar(epoch.low_seq)) & (
-            pc.field("event_seq") <= pa.scalar(epoch.high_seq)
-        )
-        # Block count = min(buckets, cluster CPUs): blocks drive the
-        # downstream task width (the shuffle's output partitions follow its
-        # input blocks), so this one knob sets the epoch's parallelism.
-        # Ray's cpu*2 default instead shreds a small epoch into dozens of
-        # tiny blocks and the groupby becomes an n^2 exchange of tiny
-        # objects — measured 5s of sort wall at 0.7s of compute.
-        import ray
-
-        blocks = int(
-            min(
-                self.cfg.num_buckets,
-                max(1, ray.cluster_resources().get("CPU", 8) * self.cfg.blocks_per_cpu),
-            )
-        )
-        pq_paths = [p for p in paths if not p.endswith(".avro")]
-        av_paths = [p for p in paths if p.endswith(".avro")]
-        parts = []
-        if pq_paths:
-            parts.append(rd.read_parquet(
-                pq_paths, schema=events_schema, filter=flt,
-                override_num_blocks=blocks,
-            ))
-        if av_paths:
-            # Avro log shards (the reference's native binlog format):
-            # per-file container decode, then the same seq-span filter
-            # (no row-group pushdown exists in Avro — shard-level
-            # pruning already happened in prune_shards) and a conform
-            # up to the unified events schema (evolution null-fill)
-            from .sources.avro import read_avro_source
-
-            lo, hi = epoch.low_seq, epoch.high_seq
-            sch = events_schema
-
-            def span_conform(t: pa.Table) -> pa.Table:
-                m = pc.and_(
-                    pc.greater(t.column("event_seq"), pa.scalar(lo)),
-                    pc.less_equal(t.column("event_seq"), pa.scalar(hi)),
-                )
-                return conform(t.filter(m), sch)
-
-            span_conform.__name__ = "avro_span_conform"
-            parts.append(
-                read_avro_source(av_paths).map_batches(
-                    span_conform, batch_format="pyarrow", batch_size=None
-                )
-            )
-        ds = parts[0]
-        for p in parts[1:]:
-            ds = ds.union(p)
-        return ds
-
     def _event_schemas(self, log_meta: dict, shards: list[dict]) -> pa.Schema:
         seen: dict[int, pa.Schema] = {}
         for s in shards:
@@ -887,90 +955,13 @@ class CdcEngine:
                 self.cfg.schema_compat_mode,
             )
 
-        prev_counts = {b: s.events_epoch for b, s in manifest.buckets.items()}
-        prev_times = {
-            b: getattr(s, "merge_sec", 0.0)
-            for b, s in manifest.buckets.items()
-        }
-        prev_salts = {
-            b: getattr(s, "salt_carry", 0)
-            for b, s in manifest.buckets.items()
-        }
+        prev = manifest.buckets
         splan = planmod.salt_plan(
-            prev_counts, self.cfg.num_buckets, self.cfg.hot_factor,
-            self.cfg.max_salt, prev_times=prev_times,
-            prev_salts=prev_salts,
+            {b: s.events_epoch for b, s in prev.items()},
+            self.cfg.num_buckets, self.cfg.hot_factor, self.cfg.max_salt,
+            prev_times={b: s.merge_sec for b, s in prev.items()},
+            prev_salts={b: s.salt_carry for b, s in prev.items()},
         )
-
-        ds = self._read_epoch_events(log_meta, epoch, raw_events_schema)
-        if ren:
-            def _ren_events(t: pa.Table, _m=ren) -> pa.Table:
-                return apply_renames(t, _m)
-
-            _ren_events.__name__ = "apply_column_renames"
-            ds = ds.map_batches(_ren_events, batch_format="pyarrow",
-                                batch_size=None)
-        # Converter chain runs AFTER rename mapping (transforms are written
-        # against CURRENT column names) and BEFORE validation.
-        for i, fn in enumerate(self.cfg.event_transforms):
-            def _conv(t: pa.Table, _fn=fn, _i=i) -> pa.Table:
-                out = _fn(t)
-                if out.num_rows != t.num_rows:
-                    raise ValueError(
-                        f"event_transforms[{_i}] changed the row count "
-                        f"({t.num_rows} -> {out.num_rows}); converters are "
-                        "value-rewriting — divert rows via row policies"
-                    )
-                if out.schema != t.schema:
-                    raise ValueError(
-                        f"event_transforms[{_i}] changed the schema; "
-                        "evolution must come from the log"
-                    )
-                return out
-
-            _conv.__name__ = getattr(fn, "__name__", f"event_transform_{i}")
-            ds = ds.map_batches(_conv, batch_format="pyarrow",
-                                batch_size=None)
-        ds = ds.map_batches(_normalize_batch, batch_format="pyarrow", batch_size=None)
-        if manifest.constraints:
-            # persisted table constraints (constraints.py): violating
-            # UPSERT events quarantine like any row-policy failure;
-            # deletes are exempt (tombstones carry null content columns)
-            cons = dict(manifest.constraints)
-
-            def _enforce(t: pa.Table, _c=cons) -> pa.Table:
-                from .constraints import annotate_violations
-
-                idx = t.schema.get_field_index(_ERR_COL)
-                err = t.column(_ERR_COL).to_numpy(zero_copy_only=False)
-                err = np.array(err, dtype=object)
-                exempt = pc.fill_null(
-                    pc.equal(t.column("op"), pa.scalar("delete")), False
-                ).to_numpy(zero_copy_only=False).astype(bool)
-                err = annotate_violations(_c, t, err, exempt)
-                return t.set_column(idx, _ERR_COL,
-                                    pa.array(err, pa.string()))
-
-            _enforce.__name__ = "enforce_constraints"
-            ds = ds.map_batches(_enforce, batch_format="pyarrow",
-                                batch_size=None)
-        # neardup runs AFTER constraint annotation (round-4 advisor
-        # finding): a constraint-quarantined INSERT never reaches the
-        # lake, so it must be neither near-dup-checked nor staged into
-        # the index as a 'survivor' — pick_inserts filters on a null
-        # error column, which now reflects constraints too
-        neardup_dups = 0
-        if self.cfg.neardup_dedup:
-            ds, neardup_dups = self._neardup_stage(ds, epoch.index)
-        ds = ds.map_batches(
-            _BucketAndReduce(self.cfg.num_buckets, splan.hot_buckets),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        if splan.hot_buckets:
-            ds = ds.groupby([_BUCKET_COL, _SALT_COL]).map_groups(
-                _salted_partial_reduce, batch_format="pyarrow"
-            )
 
         bucket_files = {
             b: ckpt.bucket_files(self.lake_dir, s) for b, s in manifest.buckets.items()
@@ -995,22 +986,16 @@ class CdcEngine:
             self.lake_dir, epoch.index, bucket_files, compact_buckets,
             base_schema, renames=ren,
         )
-
-        def merge_bucket(group: pa.Table) -> pa.Table:
-            return merge(group)
-
-        lineage = (
-            ds.groupby(_BUCKET_COL)
-            .map_groups(merge_bucket, batch_format="pyarrow")
-            .take_all()
+        prep = _EpochPrep(
+            epoch.low_seq, epoch.high_seq, raw_events_schema, ren,
+            tuple(self.cfg.event_transforms), _normalize_batch,
+            dict(manifest.constraints),
         )
-        expected = (
-            planmod.expected_event_count(
-                log_meta, self.events_dir, epoch.low_seq, epoch.high_seq
-            )
-            if self.cfg.commit_gate
-            else None
-        )
+        lineage, neardup_dups = self._push_exchange(
+            epoch, log_meta, prep, splan.hot_buckets, merge)
+        expected = planmod.expected_event_count(
+            log_meta, self.events_dir, epoch.low_seq, epoch.high_seq
+        ) if self.cfg.commit_gate else None
         return {
             "lineage": lineage,
             "base_schema": base_schema,
@@ -1022,19 +1007,64 @@ class CdcEngine:
             "exec_sec": _time.time() - _t0,
         }
 
-    def _neardup_stage(self, ds, epoch_index: int):
-        """Dedup-on-ingest check pass for one epoch (cfg.neardup_dedup):
-        near-dup verdicts for the epoch's INSERT events against the
-        committed index + within-epoch, annotation of dup rows as
-        'neardup' errors, and a STAGED write of survivors' sketches that
-        _commit_epoch promotes atomically with the epoch. Returns
-        (annotated ds, dup-url count). The normalized event stream is
-        materialized once — one epoch in the object store, the same bound
-        the merge exchange already implies — so the check pass and the
-        merge pipeline don't re-execute the log read."""
+    def _push_exchange(self, epoch: planmod.Epoch, log_meta: dict,
+                       prep: _EpochPrep, hot: dict[int, int],
+                       merge: _MergeBucket) -> tuple[list[dict], int]:
+        """The epoch's exchange: plain Ray tasks routing by the bucket id,
+        no sort. ``min(splits, buckets, CPUs x blocks_per_cpu)`` map tasks
+        each read a contiguous run of splits and return one slot per
+        bucket — per (bucket, salt) if hot. A bucket's slots go by
+        reference to one ``merge_bucket`` task, a hot bucket's through one
+        ``salted_partial`` task per salt first; slots concatenate in split
+        order, so a re-executed epoch stages byte-identical files. Near-dup
+        dedup splits the map side in two rounds around its verdicts.
+        Returns (lineage rows, near-dup url count)."""
+        import ray
+
+        splits = planmod.epoch_splits(
+            log_meta, self.events_dir, epoch.low_seq, epoch.high_seq)
+        if not splits:
+            return [], 0
+        map_task, partial_task, merge_task = _exchange_tasks()
+        B = self.cfg.num_buckets
+        n = min(len(splits), B, max(1, int(
+            ray.cluster_resources().get("CPU", 8) * self.cfg.blocks_per_cpu)))
+        starts = _slot_starts(B, hot)
+        route = map_task.options(name="route_events",
+                                 num_returns=1 + int(starts[-1]))
+        inputs, dups, n_dups = _map_inputs(splits, n), None, 0
+        if self.cfg.neardup_dedup:
+            inputs = [map_task.options(name="prepare_events").remote(r, prep)
+                      for r in inputs]
+            dups, n_dups = self._neardup_verdicts(inputs, epoch.index)
+            prep = None  # the route round gets the prepared tables
+        outs = [route.remote(r, prep, (B, hot), dups) for r in inputs]
+        counts = ray.get([o[0] for o in outs])
+        merge_ref = ray.put(merge)
+        merges = []
+        for b in range(B):
+            # each slot's non-empty map outputs, in split order
+            slots = [[o[1 + k] for o, c in zip(outs, counts) if c[k]]
+                     for k in range(starts[b], starts[b + 1])]
+            parts = ([partial_task.remote(*refs) for refs in slots if refs]
+                     if b in hot else slots[0])
+            if parts:
+                merges.append(merge_task.remote(merge_ref, *parts))
+        return [r for t in ray.get(merges) for r in t.to_pylist()], n_dups
+
+    def _neardup_verdicts(self, prepared: list, epoch_index: int):
+        """Dedup-on-ingest check pass for one epoch (cfg.neardup_dedup)
+        over the prepared map outputs: near-dup verdicts for the epoch's
+        INSERT events against the committed index + within-epoch, and a
+        STAGED write of survivors' sketches that _commit_epoch promotes
+        atomically with the epoch. Runs AFTER constraint annotation: a
+        constraint-quarantined INSERT never reaches the lake, so it is
+        neither checked nor indexed. Returns (dup-url array ref, dup-url
+        count)."""
+        import ray.data as rd
+
         from .functions.dedup import neardup_ingest_verdicts
 
-        ds = ds.materialize()
         tcol = self.cfg.neardup_text_col
 
         def pick_inserts(t: pa.Table) -> pa.Table:
@@ -1050,16 +1080,12 @@ class CdcEngine:
             return t.filter(m).select(["url", tcol])
 
         pick_inserts.__name__ = "pick_insert_texts"
-        sel = ds.map_batches(
-            pick_inserts, batch_format="pyarrow", batch_size=None
-        )
-        stage_dir = os.path.dirname(
-            ckpt.staging_path(self.lake_dir, epoch_index, 0)
-        )
-        dup_ref, n_dups = neardup_ingest_verdicts(
-            sel,
+        return neardup_ingest_verdicts(
+            rd.from_arrow_refs(prepared).map_batches(
+                pick_inserts, batch_format="pyarrow", batch_size=None),
             index_dir=os.path.join(self.lake_dir, NEARDUP_INDEX_DIR),
-            stage_dir=stage_dir,
+            stage_dir=os.path.dirname(
+                ckpt.staging_path(self.lake_dir, epoch_index, 0)),
             stage_prefix=NEARDUP_STAGE_PREFIX,
             text_col=tcol,
             id_col="url",
@@ -1069,26 +1095,15 @@ class CdcEngine:
             shingle_k=self.cfg.neardup_shingle_k,
             num_partitions=self.cfg.neardup_partitions,
         )
-        if not n_dups:
-            return ds, 0
-        # dup_ref is the TASK-BUILT sorted dup-url array already in the
-        # object store (never on the driver heap) — handed straight to
-        # the annotator actors
-        annotated = ds.map_batches(
-            _AnnotateNeardup,
-            fn_constructor_kwargs=dict(dup_ref=dup_ref),
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=(1, 4),
-        )
-        return annotated, n_dups
 
     def _commit_epoch(
-        self, epoch: planmod.Epoch, manifest: Manifest, execution: dict | None
+        self, epoch: planmod.Epoch, manifest: Manifest, execution: dict | None,
+        redrive: bool = False,
     ) -> tuple[Manifest, EpochReport]:
         """Two-phase commit of a staged epoch against its PREDECESSOR's
         committed manifest (commits are strictly ordered even when
-        executions overlap)."""
+        executions overlap). A ``redrive`` epoch also counts its applied
+        events as ``errors_redriven`` in its own manifest."""
         if execution is None:  # already committed (resume path)
             return self.store.load(epoch.index), EpochReport(
                 epoch.index, epoch.low_seq, epoch.high_seq
@@ -1230,6 +1245,8 @@ class CdcEngine:
             "compactions",
             sum(1 for r in touched.values() if r["kind"] == "base"),
         )
+        if redrive:
+            self.metrics.inc("errors_redriven", report.events)
         new.metrics = self.metrics.counters()
         self.store.commit(new)
         report.exec_sec = round(execution.get("exec_sec", 0.0), 3)
@@ -1244,12 +1261,13 @@ class CdcEngine:
         return new, report
 
     def apply_epoch(
-        self, epoch: planmod.Epoch, manifest: Manifest, log_meta: dict
+        self, epoch: planmod.Epoch, manifest: Manifest, log_meta: dict,
+        redrive: bool = False,
     ) -> tuple[Manifest, EpochReport]:
         """Apply one ``(low, high]`` interval (execute + commit).
         Idempotent: a committed epoch is returned untouched."""
         execution = self._execute_epoch(epoch, manifest, log_meta)
-        return self._commit_epoch(epoch, manifest, execution)
+        return self._commit_epoch(epoch, manifest, execution, redrive)
 
     # ---------------- top-level run ----------------
 
@@ -1273,27 +1291,6 @@ class CdcEngine:
         recomputed from the committed resume point, so a crash mid-window
         replays deterministically (staged writes are idempotent)."""
         from concurrent.futures import ThreadPoolExecutor
-
-        # Ray's read path lazily imports fsspec's HTTP filesystem on every
-        # call; with aiohttp absent that import fails each time, and two
-        # executor threads attempting it concurrently race in the import
-        # machinery (observed: spurious "cannot import name HTTPFileSystem").
-        # Cache a benign stub after a failed import so later imports are
-        # deterministic and thread-safe; isinstance checks against the stub
-        # are simply False (no HTTP filesystem is ever in use here).
-        try:  # pragma: no cover
-            from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-        except Exception:  # pragma: no cover
-            import sys
-            import types
-
-            stub = types.ModuleType("fsspec.implementations.http")
-
-            class HTTPFileSystem:  # noqa: N801 - stub, never instantiated
-                pass
-
-            stub.HTTPFileSystem = HTTPFileSystem
-            sys.modules.setdefault("fsspec.implementations.http", stub)
 
         from collections import deque
 
@@ -2186,7 +2183,8 @@ class CdcEngine:
                     low_seq=-1,  # redriven seqs are all <= the watermark
                     high_seq=manifest.high_seq,  # watermark PINNED
                 )
-                new_manifest, report = self.apply_epoch(ep, manifest, log_meta)
+                new_manifest, report = self.apply_epoch(
+                    ep, manifest, log_meta, redrive=True)
             finally:
                 self.events_dir, self.cfg = prev_events_dir, prev_cfg
         finally:
@@ -2213,7 +2211,6 @@ class CdcEngine:
                 dest = os.path.join(dest_root, os.path.relpath(p, err_root))
                 os.makedirs(os.path.dirname(dest), exist_ok=True)
                 os.replace(p, dest)
-        self.metrics.inc("errors_redriven", report.events)
         self.metrics.submit_event(
             "ErrorsRedriven", epoch=new_manifest.epoch,
             redriven=report.events, still_diverted=report.errors,

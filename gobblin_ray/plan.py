@@ -11,7 +11,9 @@ the event-log shard metadata — O(shards + buckets), never O(events)
   gobblin-core/.../partition/Partitioner.java:95-217; Kafka offset planning
   KafkaSource.java:544-676).
 - ``prune_shards``: shard files overlapping an interval (row-group /
-  partition pruning at the read — only relevant bytes leave storage).
+  partition pruning at the read — only relevant bytes leave storage);
+  ``epoch_splits`` refines them to the row groups an epoch's map tasks
+  read.
 - ``salt_plan``: per-bucket event counts from the previous epoch decide
   which hot buckets get salted sub-partitions this epoch
   (bin-packing / WorkUnitChangeEvent hot-split analog,
@@ -220,6 +222,40 @@ def prune_shards(log_meta: dict, low: int, high: int) -> list[dict]:
     ]
 
 
+def row_groups_in(pf, low: int, high: int):
+    """The row groups of the parquet file ``pf`` whose ``event_seq`` stats
+    overlap ``(low, high]``, as ``(index, rows, covered)``: ``covered``
+    when the stats put the whole group inside. A group without stats
+    counts as overlapping, never as covered."""
+    idx = pf.schema_arrow.get_field_index("event_seq")
+    for g in range(pf.metadata.num_row_groups):
+        rg = pf.metadata.row_group(g)
+        st = rg.column(idx).statistics
+        if st is not None and (st.max <= low or st.min > high):
+            continue
+        covered = st is not None and st.min > low and st.max <= high
+        yield g, rg.num_rows, covered
+
+
+def epoch_splits(log_meta: dict, events_dir: str, low: int,
+                 high: int) -> list[tuple[str, int | None]]:
+    """The read splits of ``(low, high]`` in log order, as ``(path,
+    row_group)``: every parquet row group ``row_groups_in`` keeps (footer
+    reads only), every avro shard whole (``row_group`` None — a container
+    has no seekable groups)."""
+    import pyarrow.parquet as pq
+
+    out: list[tuple[str, int | None]] = []
+    for s in prune_shards(log_meta, low, high):
+        path = os.path.join(events_dir, s["file"])
+        if path.endswith(".avro"):
+            out.append((path, None))
+        else:
+            with pq.ParquetFile(path) as pf:
+                out += [(path, g) for g, _, _ in row_groups_in(pf, low, high)]
+    return out
+
+
 def expected_event_count(log_meta: dict, events_dir: str, low: int, high: int) -> int:
     """Independent count of log rows in ``(low, high]`` for the commit gate
     (RowCountPolicy analog, gobblin-core/.../policies/count/). Fully-covered
@@ -250,19 +286,14 @@ def expected_event_count(log_meta: dict, events_dir: str, low: int, high: int) -
                                pc.less_equal(col, high))
             total += int(pc.sum(pc.cast(in_range, pa.int64())).as_py() or 0)
             continue
-        pf = pq.ParquetFile(os.path.join(events_dir, s["file"]))
-        idx = pf.schema_arrow.get_field_index("event_seq")
-        for g in range(pf.metadata.num_row_groups):
-            rg = pf.metadata.row_group(g)
-            st = rg.column(idx).statistics
-            if st is not None and (st.max <= low or st.min > high):
-                continue
-            if st is not None and st.min > low and st.max <= high:
-                total += rg.num_rows
-                continue
-            col = pf.read_row_group(g, columns=["event_seq"]).column("event_seq")
-            in_range = pc.and_(pc.greater(col, low), pc.less_equal(col, high))
-            total += int(pc.sum(pc.cast(in_range, pa.int64())).as_py() or 0)
+        with pq.ParquetFile(os.path.join(events_dir, s["file"])) as pf:
+            for g, rows, covered in row_groups_in(pf, low, high):
+                if covered:
+                    total += rows
+                    continue
+                col = pf.read_row_group(g, columns=["event_seq"]).column("event_seq")
+                in_range = pc.and_(pc.greater(col, low), pc.less_equal(col, high))
+                total += int(pc.sum(pc.cast(in_range, pa.int64())).as_py() or 0)
     return total
 
 

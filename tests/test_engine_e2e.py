@@ -605,6 +605,7 @@ def test_redrive_errors_after_fix(ray_session, tmp_path_factory):
     assert t_requar.column("url").to_pylist() == ["https://nullseq.example/x"]
     assert t_requar.column("_err").to_pylist() == ["null_seq"]
     assert out["epoch"] == head.epoch + 1
+    assert eng.store.load(out["epoch"]).metrics["errors_redriven"] == 1
     assert eng.store.latest().high_seq == head.high_seq  # watermark pinned
     assert all(int(dd.split("=")[1]) < 4
                for dd in os.listdir(os.path.join(lake, "data")))  # no orphans

@@ -74,3 +74,11 @@ def test_hot_merge_time_salts_next_epoch_oracle_identical(
     ta = eng_a.read_table_arrow().sort_by([("url", "ascending")])
     tb = eng_b.read_table_arrow().sort_by([("url", "ascending")])
     assert ta.equals(tb)  # salting changed the exchange, not the bytes
+
+    def data_files(lake):
+        root = os.path.join(lake, "data")
+        return {os.path.relpath(os.path.join(dp, f), root):
+                open(os.path.join(dp, f), "rb").read()
+                for dp, _, fs in os.walk(root) for f in fs}
+
+    assert data_files(lake_a) == data_files(lake_b)  # nor the data files
