@@ -24,7 +24,9 @@ Scale posture: per-epoch driver work is O(shards + buckets); the single
 all-to-all per epoch is a push exchange of plain Ray tasks that routes by
 the ``url_bucket`` id the map side computes — no sort — and its payload has
 already been collapsed by the map-side LWW partial dedup (and, for hot
-buckets, a salted partial-merge stage). Buckets (``num_buckets``) are sized
+buckets, a salted partial-merge stage). The snapshot load (``bootstrap``)
+and the bucket-count migration (``rebucket``) route through the same
+exchange. Buckets (``num_buckets``) are sized
 so one bucket's base file fits comfortably in a worker's heap — at 100 TB
 raise ``num_buckets``, not the block size.
 """
@@ -170,6 +172,23 @@ def stable_hash_u64(values: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return out
 
 
+def _bucket_ids(urls: pa.ChunkedArray | pa.Array, num_buckets: int) -> np.ndarray:
+    """The lake's router: each url's bucket, ``stable_hash_u64(url) %
+    num_buckets``, as int32. Every write routes rows through it and every
+    bucket-pruned read finds a url's bucket with it."""
+    return (stable_hash_u64(urls) % num_buckets).astype(np.int32)
+
+
+def _urls_by_bucket(urls, num_buckets: int) -> dict[int, list[str]]:
+    """The distinct non-null ``urls`` grouped by owning bucket, each group
+    sorted — the key plan of the bucket-targeted point operations."""
+    uniq = sorted({u for u in urls if u is not None})
+    by_bucket: dict[int, list[str]] = {}
+    for u, b in zip(uniq, _bucket_ids(pa.array(uniq, pa.string()), num_buckets)):
+        by_bucket.setdefault(int(b), []).append(u)
+    return by_bucket
+
+
 @dataclass
 class EngineConfig:
     num_buckets: int = 16
@@ -193,9 +212,6 @@ class EngineConfig:
     epoch_bytes: int | None = None  # size-based epoch planning: target log
     # bytes per epoch (overrides fixed epoch_width; Kafka size-estimator
     # packing analog) — epoch_width then only caps the max width
-    blocks_per_cpu: float = 1.0  # epoch map tasks = min(read splits,
-    # buckets, cpus * this); >1 trades scheduling overhead for straggler
-    # hiding
     job_lock: bool = True  # FileBasedJobLock analog: refuse to run while
     # another live driver holds <lake>/_locks/job.lock (two concurrent
     # replays would race staged promotes); stale locks are taken over
@@ -225,7 +241,8 @@ class EngineConfig:
     # gate; survivors' sketches join the index ATOMICALLY with the epoch
     # commit (checkpoint.promote_sidecar runs before the manifest write),
     # so a killed run resumes exactly-once with identical verdicts.
-    # bootstrap() seeds the index from the snapshot's text. Enabling this
+    # bootstrap() seeds the index from the snapshot's text, between its
+    # exchange's prepare and route rounds (one read). Enabling this
     # FORCES pipeline_epochs to 1: each epoch's verdicts read the
     # previous epoch's committed index, so an overlapped execution would
     # race the index promote and make verdicts timing-dependent (the
@@ -309,17 +326,19 @@ class _BucketAndReduce:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         err_mask = pc.is_valid(batch.column(_ERR_COL)).to_numpy(zero_copy_only=False)
-        h = stable_hash_u64(batch.column("url"))
+        urls = batch.column("url")
         # Error rows ride to the merge task of their url's bucket (null
         # urls hash to one constant bucket) — no single-bucket error
         # hotspot when error rates spike (round-1 review note).
-        bucket = (h % self.num_buckets).astype(np.int32)
+        bucket = _bucket_ids(urls, self.num_buckets)
         salt = np.zeros(len(bucket), dtype=np.int32)
-        if self.hot_buckets:
-            sub = (h // self.num_buckets).astype(np.uint64)
-            for b, factor in self.hot_buckets.items():
-                m = bucket == b
-                salt[m] = (sub[m] % factor).astype(np.int32)
+        for b, factor in self.hot_buckets.items():
+            # (hash % (B * f)) // B == (hash // B) % f: a hot bucket's
+            # salt is its urls' bucket under the router widened f-fold
+            m = bucket == b
+            salt[m] = (_bucket_ids(urls.filter(pa.array(m)),
+                                   self.num_buckets * factor)
+                       // self.num_buckets)
         batch = (
             batch.append_column(_BUCKET_COL, pa.array(bucket))
             .append_column(_SALT_COL, pa.array(salt))
@@ -397,20 +416,35 @@ class _EpochPrep:
     constraints: dict  # Manifest.constraints
 
 
-def _prepare_events(reads: list[tuple[str, list[int] | None]],
-                    prep: _EpochPrep) -> pa.Table:
-    """Read one map task's inputs in order — row groups of a parquet
-    file, or a whole avro container (``None``) — keep the (low, high]
-    span, conform, then rename, convert, validate and constrain."""
+def _read_splits(splits: list[tuple[str, int | None]]) -> list[pa.Table]:
+    """Read a run of ``(path, row_group)`` splits in order, one table per
+    read: consecutive row groups of one parquet file make one read, an
+    avro file (row group None) is read whole."""
     from .sources import avro
 
-    parts = []
+    reads: list = []
+    for path, g in splits:
+        if g is not None and reads and reads[-1][0] == path:
+            reads[-1][1].append(g)
+        else:
+            reads.append((path, None if g is None else [g]))
+    out = []
     for path, groups in reads:
         if groups is None:
-            t = avro.read_container(path)
+            out.append(avro.read_container(path))
         else:
             with pq.ParquetFile(path) as pf:
-                t = pf.read_row_groups(groups)
+                out.append(pf.read_row_groups(groups))
+    return out
+
+
+def _prepare_events(splits: list[tuple[str, int | None]],
+                    prep: _EpochPrep) -> pa.Table:
+    """An epoch map task's rows: its splits read in order, kept to the
+    (low, high] span, conformed, then renamed, converted, validated and
+    constrained."""
+    parts = []
+    for t in _read_splits(splits):
         seq = t.column("event_seq")
         parts.append(conform(t.filter(pc.and_(
             pc.greater(seq, prep.low), pc.less_equal(seq, prep.high))),
@@ -436,6 +470,66 @@ def _prepare_events(reads: list[tuple[str, list[int] | None]],
     return _enforce_constraints(t, prep.constraints) if prep.constraints else t
 
 
+def _prepare_snapshot(splits: list[tuple[str, int | None]],
+                      schema: pa.Schema) -> pa.Table:
+    """A bootstrap map task's rows: its snapshot splits read in order,
+    each row a live base row at ``event_seq`` -1, conformed to the base
+    schema."""
+    parts = []
+    for t in _read_splits(splits):
+        n = t.num_rows
+        parts.append(conform(
+            t.append_column("event_seq", pa.array(np.full(n, -1, np.int64)))
+            .append_column("is_deleted", pa.array(np.zeros(n, bool))),
+            schema))
+    return pa.concat_tables(parts)
+
+
+def _load_buckets(files: list[list[str]], schema: pa.Schema,
+                  renames: dict[str, str]) -> pa.Table:
+    """A rebucket map task's rows: the merged state of a run of old
+    buckets (one file list each), tombstones retained."""
+    return pa.concat_tables(
+        [conform(_load_bucket(f, schema, renames), schema) for f in files])
+
+
+def _add_bucket(t: pa.Table, num_buckets: int) -> pa.Table:
+    """Bootstrap's and rebucket's route: the bucket column, no salt."""
+    return t.append_column(
+        _BUCKET_COL, pa.array(_bucket_ids(t.column("url"), num_buckets)))
+
+
+def _write_snapshot_bucket(group: pa.Table, lake_dir: str,
+                           schema: pa.Schema) -> pa.Table:
+    """Bootstrap's reducer: LWW-reduce one bucket's snapshot rows (the
+    snapshot may repeat a url; ties go to the later row) and stage them as
+    the bucket's epoch-0 base."""
+    bucket = int(group.column(_BUCKET_COL)[0].as_py())
+    events = group.drop_columns([_BUCKET_COL, "is_deleted"]).append_column(
+        "op", pa.array(["insert"] * group.num_rows, pa.string()))
+    tbl = merge_base_with_events(None, events, schema)
+    ckpt.atomic_write_table(tbl, ckpt.staging_path(lake_dir, 0, bucket))
+    tmn, tmx = _ts_range_us(tbl)
+    return pa.table({
+        "bucket": pa.array([bucket], pa.int32()),
+        "rows": pa.array([tbl.num_rows], pa.int64()),
+        "ts_min": pa.array([tmn], pa.int64()),
+        "ts_max": pa.array([tmx], pa.int64()),
+    })
+
+
+def _write_rebucketed(group: pa.Table, lake_dir: str, epoch: int) -> pa.Table:
+    """Rebucket's reducer: stage one new bucket's rows, url-sorted, as its
+    base at ``epoch``."""
+    bucket = int(group.column(_BUCKET_COL)[0].as_py())
+    tbl = group.drop_columns([_BUCKET_COL]).sort_by([("url", "ascending")])
+    ckpt.atomic_write_table(tbl, ckpt.staging_path(lake_dir, epoch, bucket))
+    return pa.table({
+        "bucket": pa.array([bucket], pa.int32()),
+        "rows": pa.array([tbl.num_rows], pa.int64()),
+    })
+
+
 def _slot_starts(num_buckets: int, hot_buckets: dict[int, int]) -> np.ndarray:
     """First exchange slot of each bucket (one, or one per salt if hot);
     the last entry is the slot count."""
@@ -443,67 +537,102 @@ def _slot_starts(num_buckets: int, hot_buckets: dict[int, int]) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
-def _map_inputs(splits: list[tuple[str, int | None]],
-                n: int) -> list[list[tuple[str, list[int] | None]]]:
-    """Cut an epoch's splits into ``n`` contiguous runs, log order kept,
-    each the reads of one map task: consecutive row groups of one parquet
-    file make one read, an avro file is read whole."""
-    out = []
-    for idx in np.array_split(np.arange(len(splits)), n):
-        reads: list = []
-        for path, g in (splits[i] for i in idx):
-            if g is not None and reads and reads[-1][0] == path:
-                reads[-1][1].append(g)
-            else:
-                reads.append((path, None if g is None else [g]))
-        out.append(reads)
-    return out
-
-
-def _map_events(source, prep: _EpochPrep | None, route=None, dups=None):
-    """The map side of an epoch's push exchange: ``source`` (reads to
-    prepare under ``prep``, or a table an earlier call prepared) without
-    ``route``; with ``route = (num_buckets, hot_buckets)`` near-dup
-    annotated, bucketed, combined and cut into url-disjoint slots,
-    returned as ``(rows per slot, *slot tables)`` — one object each."""
-    t = source if prep is None else _prepare_events(source, prep)
+def _map_rows(source, prepare, route=None, starts=None, dups=None):
+    """The map side of the push exchange: ``prepare(source)`` builds the
+    task's rows (``prepare`` None: ``source`` is a table an earlier round
+    prepared); without ``route`` they are returned whole. Else the
+    near-dup ``dups`` are annotated (epochs), ``route`` adds the bucket
+    column (and a hot bucket's salt column), and the rows are cut into
+    one url-disjoint slot per (bucket, salt), ``starts`` giving each
+    bucket's first slot — returned as ``(rows per slot, *slot tables)``,
+    one object each."""
+    t = source if prepare is None else prepare(source)
     if route is None:
         return t
-    num_buckets, hot_buckets = route
     if dups is not None:
         t = _annotate_neardup(t, dups)
-    t = _BucketAndReduce(num_buckets, hot_buckets)(t)
-    starts = _slot_starts(num_buckets, hot_buckets)
-    slot = (starts[t.column(_BUCKET_COL).to_numpy()]
-            + t.column(_SALT_COL).to_numpy())
+    t = route(t)
+    slot = starts[t.column(_BUCKET_COL).to_numpy()]
+    if _SALT_COL in t.column_names:
+        slot = slot + t.column(_SALT_COL).to_numpy()
     order = np.argsort(slot, kind="stable")
     counts = np.bincount(slot, minlength=int(starts[-1]))
     ends = np.cumsum(counts)
     return (counts, *(t.take(order[e - n:e]) for n, e in zip(counts, ends)))
 
 
-def _salted_partial(*slices: pa.Table) -> pa.Table:
-    """One (bucket, salt) reducer of a hot bucket."""
-    return _salted_partial_reduce(pa.concat_tables(slices))
-
-
-def _merge_slices(merge: "_MergeBucket", *slices: pa.Table) -> pa.Table:
-    """One bucket's reducer: its slices, in split order, to ``merge``."""
-    return merge(pa.concat_tables(slices))
+def _reduce_slots(reduce, *slots: pa.Table) -> pa.Table:
+    """A reducer: its slots, in input order, to ``reduce``."""
+    return reduce(pa.concat_tables(slots))
 
 
 @functools.cache
 def _exchange_tasks():
-    """The exchange's Ray tasks, registered once per process: the map
-    task (named per call), ``salted_partial`` and ``merge_bucket``. They
-    resolve ``_BucketAndReduce``, ``_salted_partial_reduce`` and
-    ``_MergeBucket`` through this module's attributes in the worker."""
+    """The exchange's map and reduce Ray tasks, registered once per
+    process and named per call. The callables they are handed
+    (``_BucketAndReduce``, ``_salted_partial_reduce``, ``_MergeBucket``,
+    ...) pickle by reference, so the worker resolves them through their
+    modules' attributes."""
     import ray
 
     task = ray.remote(num_cpus=1)
-    return (task(_map_events),
-            task(_salted_partial).options(name="salted_partial"),
-            task(_merge_slices).options(name="merge_bucket"))
+    return task(_map_rows), task(_reduce_slots)
+
+
+def _push_exchange(inputs: list, prepare, route, reduce, num_buckets: int,
+                   names: tuple, hot: dict[int, int] | None = None,
+                   verdicts=None) -> tuple[list[dict], int]:
+    """The engine's one exchange — epochs, ``bootstrap`` and ``rebucket``
+    route rows through it: plain Ray tasks routing by the bucket id, no
+    sort. ``min(inputs, buckets, CPUs)`` map tasks each take a contiguous
+    run of ``inputs``, build its rows with ``prepare(run)``, add the
+    bucket column with ``route`` and return one url-disjoint slot per
+    bucket — per (bucket, salt) for the ``hot`` buckets, which only
+    epochs have. A bucket's slots go by reference to one ``reduce`` task,
+    a hot bucket's through one ``salted_partial`` task per salt first;
+    slots concatenate in input order, so a re-run stages byte-identical
+    files and a url repeated across inputs resolves in input order.
+    ``verdicts`` (near-dup dedup) splits the map side in two rounds:
+    prepare, then ``verdicts(prepared refs) -> (dup-url ref | None,
+    count)``, then route. ``names``: the (prepare, route, reduce) task
+    names. Returns (the reducers' lineage rows, near-dup url count)."""
+    import ray
+
+    if not inputs:
+        return [], 0
+    if not ray.is_initialized():
+        ray.init()  # as a Ray Data job or a task launch would
+    map_task, reduce_task = _exchange_tasks()
+    hot = hot or {}
+    n = min(len(inputs), num_buckets,
+            max(1, int(ray.cluster_resources().get("CPU", 8))))
+    runs = [[inputs[i] for i in idx]
+            for idx in np.array_split(np.arange(len(inputs)), n)]
+    starts = _slot_starts(num_buckets, hot)
+    dups, n_dups = None, 0
+    if verdicts is not None:
+        runs = [map_task.options(name=names[0]).remote(r, prepare)
+                for r in runs]
+        dups, n_dups = verdicts(runs)
+        dups = dups if n_dups else None  # no dup url: nothing to annotate
+        prepare = None  # the route round gets the prepared tables
+    route_task = map_task.options(name=names[1],
+                                  num_returns=1 + int(starts[-1]))
+    outs = [route_task.remote(r, prepare, route, starts, dups) for r in runs]
+    counts = ray.get([o[0] for o in outs])
+    reduce_ref = ray.put(reduce)
+    partial_task = reduce_task.options(name="salted_partial")
+    reduce_task = reduce_task.options(name=names[2])
+    reduces = []
+    for b in range(num_buckets):
+        # each slot's non-empty map outputs, in input order
+        slots = [[o[1 + k] for o, c in zip(outs, counts) if c[k]]
+                 for k in range(starts[b], starts[b + 1])]
+        parts = ([partial_task.remote(_salted_partial_reduce, *refs)
+                  for refs in slots if refs] if b in hot else slots[0])
+        if parts:
+            reduces.append(reduce_task.remote(reduce_ref, *parts))
+    return [r for t in ray.get(reduces) for r in t.to_pylist()], n_dups
 
 
 class _MergeBucket:
@@ -725,12 +854,16 @@ class CdcEngine:
     # ---------------- bootstrap (epoch 0: snapshot load) ----------------
 
     def bootstrap(self, pages_path: str) -> Manifest:
-        """Load the initial snapshot into bucketed base files (epoch 0).
+        """Load the initial snapshot into bucketed base files (epoch 0)
+        through the push exchange: map tasks over the snapshot's parquet
+        row groups and avro files, one ``bootstrap_write`` task per
+        bucket. A url the snapshot repeats at one ``warc_ts`` resolves in
+        snapshot order (parquet shards, then avro shards, each by name):
+        the last row wins. With ``neardup_dedup`` the same read also
+        seeds the near-dup index.
 
         Idempotent: returns the existing manifest if epoch 0 committed.
         """
-        import ray.data as rd
-
         if self.store.is_applied(0):
             return self.store.load(0)
 
@@ -742,117 +875,48 @@ class CdcEngine:
         # commonly bootstrap FROM avro), read through the from-scratch
         # codec in sources/avro.py. A MIXED dir reads both formats, and
         # every shard's footer/header schema is probed and unified, so a
-        # column only a later shard carries survives prep's conform.
+        # column only a later shard carries survives the map's conform.
         if os.path.isdir(pages_path):
-            pq_files = sorted(
-                os.path.join(pages_path, f)
-                for f in os.listdir(pages_path) if f.endswith(".parquet")
-            )
-            av_files = sorted(
-                os.path.join(pages_path, f)
-                for f in os.listdir(pages_path) if f.endswith(".avro")
-            )
+            names = sorted(os.listdir(pages_path))
+            pq_files, av_files = (
+                [os.path.join(pages_path, f) for f in names if f.endswith(x)]
+                for x in (".parquet", ".avro"))
             if not pq_files and not av_files:
                 raise FileNotFoundError(
-                    f"no .parquet/.avro shards in snapshot dir "
-                    f"{pages_path!r}"
-                )
+                    f"no .parquet/.avro shards in snapshot dir {pages_path!r}")
         elif pages_path.endswith(".avro"):
             pq_files, av_files = [], [pages_path]
         else:
             pq_files, av_files = [pages_path], []
-        probes = [pq.read_schema(f) for f in pq_files]
+        probes, splits = [], []
+        for f in pq_files:
+            with pq.ParquetFile(f) as pf:
+                probes.append(pf.schema_arrow)
+                splits += [(f, g) for g in range(pf.num_row_groups)]
         if av_files:
             from .sources.avro import container_schema
 
             probes += [container_schema(f) for f in av_files]
+            splits += [(f, None) for f in av_files]
         base_schema = unify_additive(
             *probes,
             pa.schema([("event_seq", pa.int64()), ("is_deleted", pa.bool_())]),
         )
-        lake_dir, B, schema = self.lake_dir, self.cfg.num_buckets, base_schema
-
-        def prep(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            batch = batch.append_column(
-                "event_seq", pa.array(np.full(n, -1, np.int64))
-            ).append_column("is_deleted", pa.array(np.zeros(n, bool)))
-            bucket = (stable_hash_u64(batch.column("url")) % B).astype(np.int32)
-            return conform(batch, schema).append_column(_BUCKET_COL, pa.array(bucket))
-
-        def write_bucket(group: pa.Table) -> pa.Table:
-            bucket = int(group.column(_BUCKET_COL)[0].as_py())
-            tbl = group.drop_columns([_BUCKET_COL])
-            # Snapshot may itself contain duplicate urls: LWW-reduce it.
-            tbl = merge_base_with_events(None, _as_insert_events(tbl), schema)
-            ckpt.atomic_write_table(tbl, ckpt.staging_path(lake_dir, 0, bucket))
-            tmn, tmx = _ts_range_us(tbl)
-            return pa.table(
-                {
-                    "bucket": pa.array([bucket], pa.int32()),
-                    "rows": pa.array([tbl.num_rows], pa.int64()),
-                    "ts_min": pa.array([tmn], pa.int64()),
-                    "ts_max": pa.array([tmx], pa.int64()),
-                }
-            )
-
-        def _as_insert_events(tbl: pa.Table) -> pa.Table:
-            return tbl.drop_columns(["is_deleted"]).append_column(
-                "op", pa.array(["insert"] * tbl.num_rows, pa.string())
-            )
-
-        snap_parts = []
-        if pq_files:
-            snap_parts.append(rd.read_parquet(pq_files))
-        if av_files:
-            from .sources.avro import read_avro_source
-
-            # no per-format conform needed: prep() conforms every batch
-            # to the unified base schema before bucketing
-            snap_parts.append(read_avro_source(av_files))
-        ds = snap_parts[0]
-        for p in snap_parts[1:]:
-            ds = ds.union(p)
-        lineage = (
-            ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-            .groupby(_BUCKET_COL)
-            .map_groups(write_bucket, batch_format="pyarrow")
-            .take_all()
-        )
-
+        B = self.cfg.num_buckets
+        # near-dup: seed the index from the snapshot (check=False: the
+        # initial snapshot is ground truth, nothing to divert) — staged
+        # flat files promoted with the bootstrap commit below
+        verdicts = functools.partial(
+            self._neardup_verdicts, epoch_index=0, check=False,
+        ) if self.cfg.neardup_dedup else None
+        lineage, _ = _push_exchange(
+            splits, functools.partial(_prepare_snapshot, schema=base_schema),
+            functools.partial(_add_bucket, num_buckets=B),
+            functools.partial(_write_snapshot_bucket, lake_dir=self.lake_dir,
+                              schema=base_schema),
+            B, ("bootstrap_prepare", "bootstrap_route", "bootstrap_write"),
+            verdicts=verdicts)
         buckets_touched = [int(r["bucket"]) for r in lineage]
-        if self.cfg.neardup_dedup:
-            # Seed the near-dup index from the snapshot (check=False: the
-            # initial snapshot is ground truth, nothing to divert) — staged
-            # flat files promoted with the bootstrap commit below.
-            from .functions.dedup import neardup_ingest_verdicts
-
-            tcol = self.cfg.neardup_text_col
-
-            def pick_pages(t: pa.Table) -> pa.Table:
-                return t.filter(pc.is_valid(t.column(tcol))).select(
-                    ["url", tcol]
-                )
-
-            pick_pages.__name__ = "pick_page_texts"
-            neardup_ingest_verdicts(
-                ds.map_batches(
-                    pick_pages, batch_format="pyarrow", batch_size=None
-                ),
-                index_dir=os.path.join(self.lake_dir, NEARDUP_INDEX_DIR),
-                stage_dir=os.path.dirname(
-                    ckpt.staging_path(self.lake_dir, 0, 0)
-                ),
-                stage_prefix=NEARDUP_STAGE_PREFIX,
-                text_col=tcol,
-                id_col="url",
-                threshold=self.cfg.neardup_threshold,
-                k_anchors=self.cfg.neardup_k_anchors,
-                k_sketch=self.cfg.neardup_k_sketch,
-                shingle_k=self.cfg.neardup_shingle_k,
-                num_partitions=self.cfg.neardup_partitions,
-                check=False,
-            )
         ckpt.promote(self.lake_dir, 0, buckets_touched)
         if self.cfg.neardup_dedup:
             ckpt.promote_sidecar(
@@ -991,8 +1055,17 @@ class CdcEngine:
             tuple(self.cfg.event_transforms), _normalize_batch,
             dict(manifest.constraints),
         )
-        lineage, neardup_dups = self._push_exchange(
-            epoch, log_meta, prep, splan.hot_buckets, merge)
+        verdicts = functools.partial(
+            self._neardup_verdicts, epoch_index=epoch.index,
+        ) if self.cfg.neardup_dedup else None
+        lineage, neardup_dups = _push_exchange(
+            planmod.epoch_splits(log_meta, self.events_dir, epoch.low_seq,
+                                 epoch.high_seq),
+            functools.partial(_prepare_events, prep=prep),
+            _BucketAndReduce(self.cfg.num_buckets, splan.hot_buckets), merge,
+            self.cfg.num_buckets,
+            ("prepare_events", "route_events", "merge_bucket"),
+            splan.hot_buckets, verdicts)
         expected = planmod.expected_event_count(
             log_meta, self.events_dir, epoch.low_seq, epoch.high_seq
         ) if self.cfg.commit_gate else None
@@ -1007,82 +1080,38 @@ class CdcEngine:
             "exec_sec": _time.time() - _t0,
         }
 
-    def _push_exchange(self, epoch: planmod.Epoch, log_meta: dict,
-                       prep: _EpochPrep, hot: dict[int, int],
-                       merge: _MergeBucket) -> tuple[list[dict], int]:
-        """The epoch's exchange: plain Ray tasks routing by the bucket id,
-        no sort. ``min(splits, buckets, CPUs x blocks_per_cpu)`` map tasks
-        each read a contiguous run of splits and return one slot per
-        bucket — per (bucket, salt) if hot. A bucket's slots go by
-        reference to one ``merge_bucket`` task, a hot bucket's through one
-        ``salted_partial`` task per salt first; slots concatenate in split
-        order, so a re-executed epoch stages byte-identical files. Near-dup
-        dedup splits the map side in two rounds around its verdicts.
-        Returns (lineage rows, near-dup url count)."""
-        import ray
-
-        splits = planmod.epoch_splits(
-            log_meta, self.events_dir, epoch.low_seq, epoch.high_seq)
-        if not splits:
-            return [], 0
-        map_task, partial_task, merge_task = _exchange_tasks()
-        B = self.cfg.num_buckets
-        n = min(len(splits), B, max(1, int(
-            ray.cluster_resources().get("CPU", 8) * self.cfg.blocks_per_cpu)))
-        starts = _slot_starts(B, hot)
-        route = map_task.options(name="route_events",
-                                 num_returns=1 + int(starts[-1]))
-        inputs, dups, n_dups = _map_inputs(splits, n), None, 0
-        if self.cfg.neardup_dedup:
-            inputs = [map_task.options(name="prepare_events").remote(r, prep)
-                      for r in inputs]
-            dups, n_dups = self._neardup_verdicts(inputs, epoch.index)
-            prep = None  # the route round gets the prepared tables
-        outs = [route.remote(r, prep, (B, hot), dups) for r in inputs]
-        counts = ray.get([o[0] for o in outs])
-        merge_ref = ray.put(merge)
-        merges = []
-        for b in range(B):
-            # each slot's non-empty map outputs, in split order
-            slots = [[o[1 + k] for o, c in zip(outs, counts) if c[k]]
-                     for k in range(starts[b], starts[b + 1])]
-            parts = ([partial_task.remote(*refs) for refs in slots if refs]
-                     if b in hot else slots[0])
-            if parts:
-                merges.append(merge_task.remote(merge_ref, *parts))
-        return [r for t in ray.get(merges) for r in t.to_pylist()], n_dups
-
-    def _neardup_verdicts(self, prepared: list, epoch_index: int):
-        """Dedup-on-ingest check pass for one epoch (cfg.neardup_dedup)
-        over the prepared map outputs: near-dup verdicts for the epoch's
-        INSERT events against the committed index + within-epoch, and a
-        STAGED write of survivors' sketches that _commit_epoch promotes
-        atomically with the epoch. Runs AFTER constraint annotation: a
-        constraint-quarantined INSERT never reaches the lake, so it is
-        neither checked nor indexed. Returns (dup-url array ref, dup-url
-        count)."""
+    def _neardup_verdicts(self, prepared: list, epoch_index: int,
+                          check: bool = True):
+        """Dedup-on-ingest pass (cfg.neardup_dedup) over the prepared map
+        outputs of one epoch: near-dup verdicts for its INSERT events
+        against the committed index + within-epoch, and a STAGED write of
+        survivors' sketches that the commit promotes atomically with the
+        epoch. Runs AFTER constraint annotation: a constraint-quarantined
+        INSERT never reaches the lake, so it is neither checked nor
+        indexed. Without ``check`` (bootstrap) nothing is checked and every
+        row's text is staged — the snapshot seeds the index. Returns
+        (dup-url array ref, dup-url count)."""
         import ray.data as rd
 
         from .functions.dedup import neardup_ingest_verdicts
 
         tcol = self.cfg.neardup_text_col
 
-        def pick_inserts(t: pa.Table) -> pa.Table:
-            m = pc.and_(
-                pc.and_(
+        def pick(t: pa.Table) -> pa.Table:
+            m = pc.is_valid(t.column(tcol))
+            if check:
+                m = pc.and_(m, pc.and_(
                     pc.is_null(t.column(_ERR_COL)),
                     pc.fill_null(
                         pc.equal(t.column("op"), pa.scalar("insert")), False
                     ),
-                ),
-                pc.is_valid(t.column(tcol)),
-            )
+                ))
             return t.filter(m).select(["url", tcol])
 
-        pick_inserts.__name__ = "pick_insert_texts"
+        pick.__name__ = "pick_insert_texts" if check else "pick_page_texts"
         return neardup_ingest_verdicts(
             rd.from_arrow_refs(prepared).map_batches(
-                pick_inserts, batch_format="pyarrow", batch_size=None),
+                pick, batch_format="pyarrow", batch_size=None),
             index_dir=os.path.join(self.lake_dir, NEARDUP_INDEX_DIR),
             stage_dir=os.path.dirname(
                 ckpt.staging_path(self.lake_dir, epoch_index, 0)),
@@ -1094,6 +1123,7 @@ class CdcEngine:
             k_sketch=self.cfg.neardup_k_sketch,
             shingle_k=self.cfg.neardup_shingle_k,
             num_partitions=self.cfg.neardup_partitions,
+            check=check,
         )
 
     def _commit_epoch(
@@ -1678,8 +1708,8 @@ class CdcEngine:
     ) -> pa.Table:
         """Point-lookup serving path: the live rows for an explicit url
         set WITHOUT a full merge-on-read scan. Each url is routed to its
-        owning bucket with the SAME router as writes (stable_hash_u64 %
-        num_buckets — the manifest's modulus, not the driver config's),
+        owning bucket with the SAME router as writes (``_bucket_ids``
+        under the manifest's modulus, not the driver config's),
         only those buckets are opened, and the url set is pushed into the
         parquet scan (``filters=``) so row-group min/max stats on the
         url-sorted base files prune I/O inside a bucket too. Filtering
@@ -1701,14 +1731,9 @@ class CdcEngine:
             raise ValueError("lookup_urls needs a bootstrapped lake")
         schema = manifest.base_schema()
         empty = live_rows(conform(pa.table({}), schema))
-        uniq = sorted({u for u in urls if u is not None})
-        if not uniq:
+        by_bucket = _urls_by_bucket(urls, manifest.num_buckets)
+        if not by_bucket:
             return empty
-        h = stable_hash_u64(pa.array(uniq, pa.string()))
-        owner = (h % manifest.num_buckets).astype(np.int64)
-        by_bucket: dict[int, list[str]] = {}
-        for u, b in zip(uniq, owner):
-            by_bucket.setdefault(int(b), []).append(u)
         file_map = self.bucket_file_map(manifest)
         ren = dict(manifest.column_renames)
         probe = _probe_task()
@@ -1960,13 +1985,13 @@ class CdcEngine:
         test_rebucket_midstream_converges). The Iceberg analog is
         partition-spec evolution with a rewrite.
 
-        Shape: one read+merge task per old bucket -> ONE exchange on the
-        new bucket id -> one write task per new bucket. Per-bucket lineage
-        counters restart at the migration epoch (the manifest chain keeps
-        history). Idempotent per epoch: staged names are deterministic and
-        promote skips existing files."""
-        import ray.data as rd
-
+        Shape: the push exchange the epochs use — ``rebucket_route`` map
+        tasks each merge a run of old buckets and route their rows by the
+        new bucket id, then one ``rebucket_write`` task per new bucket
+        writes it url-sorted. Per-bucket lineage counters restart at the
+        migration epoch (the manifest chain keeps history). Idempotent per
+        epoch: staged names are deterministic and promote skips existing
+        files."""
         with self._job_lock():
             m = self.store.latest()
             if m is None:
@@ -1974,46 +1999,15 @@ class CdcEngine:
             if new_buckets < 1:
                 raise ValueError("new_buckets must be >= 1")
             epoch = m.epoch + 1
-            schema = m.base_schema()
             lake_dir, B = self.lake_dir, int(new_buckets)
-            file_map = self.bucket_file_map(m)
-            specs = [{"files": files} for files in file_map.values() if files]
-            ren = dict(m.column_renames)
-
-            def load_and_route(batch: pa.Table) -> pa.Table:
-                out = []
-                for files in batch.column("files").to_pylist():
-                    # tombstones retained
-                    t = conform(_load_bucket(files, schema, ren), schema)
-                    nb = (stable_hash_u64(t.column("url")) % B).astype(np.int32)
-                    out.append(t.append_column(_BUCKET_COL, pa.array(nb)))
-                return (pa.concat_tables(out) if out else
-                        conform(pa.table({}), schema).append_column(
-                            _BUCKET_COL, pa.array([], pa.int32())))
-
-            load_and_route.__name__ = "rebucket_route"
-
-            def write_new_bucket(group: pa.Table) -> pa.Table:
-                bucket = int(group.column(_BUCKET_COL)[0].as_py())
-                tbl = group.drop_columns([_BUCKET_COL]).sort_by(
-                    [("url", "ascending")]
-                )
-                ckpt.atomic_write_table(
-                    tbl, ckpt.staging_path(lake_dir, epoch, bucket)
-                )
-                return pa.table({
-                    "bucket": pa.array([bucket], pa.int32()),
-                    "rows": pa.array([tbl.num_rows], pa.int64()),
-                })
-
-            write_new_bucket.__name__ = "rebucket_write"
-            lineage = (
-                rd.from_items(specs)
-                .map_batches(load_and_route, batch_format="pyarrow", batch_size=1)
-                .groupby(_BUCKET_COL)
-                .map_groups(write_new_bucket, batch_format="pyarrow")
-                .take_all()
-            )
+            lineage, _ = _push_exchange(
+                [files for files in self.bucket_file_map(m).values() if files],
+                functools.partial(_load_buckets, schema=m.base_schema(),
+                                  renames=dict(m.column_renames)),
+                functools.partial(_add_bucket, num_buckets=B),
+                functools.partial(_write_rebucketed, lake_dir=lake_dir,
+                                  epoch=epoch),
+                B, (None, "rebucket_route", "rebucket_write"))
             buckets_touched = [int(r["bucket"]) for r in lineage]
             ckpt.promote(lake_dir, epoch, buckets_touched)
             manifest = Manifest(
@@ -2483,12 +2477,7 @@ class CdcEngine:
             urls = sorted(set(urls))
             if not urls:
                 raise ValueError("no keys to purge")
-            key_bucket = (
-                stable_hash_u64(pa.array(urls, pa.string())) % m.num_buckets
-            ).astype(np.int64)
-            by_bucket: dict[int, list[str]] = {}
-            for u, b in zip(urls, key_bucket):
-                by_bucket.setdefault(int(b), []).append(u)
+            by_bucket = _urls_by_bucket(urls, m.num_buckets)
             file_map = self.bucket_file_map(m)
             specs = [
                 {"bucket": b, "files": file_map[b], "purge": ks}

@@ -1,10 +1,12 @@
-"""The epoch's push exchange: plain Ray tasks route each epoch's events to
-their bucket merges by the bucket id the map side computes — no Ray Data
-read and no sort shuffle on the replay path — and a re-executed epoch
-stages byte-identical files."""
+"""The engine's push exchange: plain Ray tasks route each epoch's events,
+a bootstrap's snapshot rows and a rebucket's rows to their bucket reducers
+by the bucket id the map side computes — no Ray Data read and no sort
+shuffle — and a re-executed epoch stages byte-identical files."""
 
+import dataclasses
 import hashlib
 import os
+import sys
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -14,9 +16,11 @@ from gobblin_ray import checkpoint as ckpt
 from gobblin_ray import plan as planmod
 from gobblin_ray import synth
 from gobblin_ray.engine import CdcEngine, EngineConfig
+from gobblin_ray.fixtures import planted_cdc_neardup_corpus
 from gobblin_ray.sources.avro import write_container
 from tests.oracle_util import oracle_final_state
 from tests.test_engine_e2e import assert_matches_oracle, engine_df
+from tests.test_engine_neardup import _index_rows
 
 
 def _corpus(d: str) -> list[str]:
@@ -27,14 +31,64 @@ def _corpus(d: str) -> list[str]:
     return sorted(f for f in os.listdir(f"{d}/events") if f.endswith(".parquet"))
 
 
-@pytest.mark.parametrize("log", ["parquet", "mixed"])
-def test_replay_uses_no_ray_data_exchange(ray_session, tmp_path_factory,
-                                          monkeypatch, log):
-    """A salted replay runs with Ray Data's readers and groupby raising in
-    the driver and still lands oracle-identical: the sort path is gone.
-    ``mixed`` turns every other shard into an avro container."""
+def _refuse_ray_data(monkeypatch, groupby_outside_engine: bool = False):
+    """Make Ray Data's parquet and binary readers and ``Dataset.groupby``
+    raise in the driver; ``groupby_outside_engine`` still lets modules
+    other than the engine group (the near-dup index builds on one)."""
     import ray.data
 
+    def refuse(*a, **k):
+        raise AssertionError("the engine started a Ray Data read or groupby")
+
+    for name in ("read_parquet", "read_binary_files"):
+        monkeypatch.setattr(ray.data, name, refuse)
+    groupby = refuse
+    if groupby_outside_engine:
+        real = ray.data.Dataset.groupby
+
+        def groupby(self, *a, **k):
+            if sys._getframe(1).f_globals.get("__name__") == "gobblin_ray.engine":
+                refuse()
+            return real(self, *a, **k)
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", groupby)
+
+
+def _snapshot(pages_path: str, kind: str, out: str) -> str:
+    """The corpus snapshot as a parquet file, one avro container, or a
+    directory of four shards alternating parquet and avro."""
+    if kind == "parquet":
+        return pages_path
+    pages = pq.read_table(pages_path)
+    if kind == "avro":
+        write_container(pages, f"{out}/pages.avro")
+        return f"{out}/pages.avro"
+    step = -(-pages.num_rows // 4)
+    for i in range(4):
+        part = pages.slice(i * step, step)
+        if i % 2:
+            write_container(part, f"{out}/part-{i}.avro")
+        else:
+            pq.write_table(part, f"{out}/part-{i}.parquet", row_group_size=20)
+    return out
+
+
+@pytest.mark.parametrize("log,snapshot,rebucket", [
+    pytest.param("parquet", "parquet", False, id="parquet"),
+    pytest.param("mixed", "parquet", False, id="mixed"),
+    pytest.param("parquet", "avro", False, id="avro-snapshot"),
+    pytest.param("parquet", "mixed", False, id="mixed-snapshot"),
+    pytest.param("parquet", "parquet", True, id="rebucket"),
+])
+def test_replay_uses_no_ray_data_exchange(ray_session, tmp_path_factory,
+                                          monkeypatch, log, snapshot,
+                                          rebucket):
+    """Bootstrap and a salted replay run with Ray Data's readers and
+    groupby raising in the driver and still land oracle-identical: the
+    sort path is gone. ``mixed`` turns every other log shard into an avro
+    container; ``snapshot`` bootstraps from an avro container or a mixed
+    shard directory; ``rebucket`` migrates 8 -> 16 buckets after three
+    epochs (the third is salted), leaving the live rows unchanged."""
     d = str(tmp_path_factory.mktemp(f"px_corpus_{log}"))
     shards = _corpus(d)
     events = [pq.read_table(f"{d}/events/{f}") for f in shards]
@@ -46,23 +100,83 @@ def test_replay_uses_no_ray_data_exchange(ray_session, tmp_path_factory,
                 write_container(events[i], f"{events_dir}/{f[:-8]}.avro")
             else:
                 pq.write_table(events[i], f"{events_dir}/{f}", row_group_size=125)
+    pages = _snapshot(f"{d}/pages.parquet", snapshot,
+                      str(tmp_path_factory.mktemp("px_snapshot")))
     lake = str(tmp_path_factory.mktemp(f"px_lake_{log}"))
-    eng = CdcEngine(lake, events_dir, EngineConfig(
-        num_buckets=8, epoch_width=1_000, hot_factor=0.1, max_salt=4))
-    eng.bootstrap(f"{d}/pages.parquet")
-
-    def refuse(*a, **k):
-        raise AssertionError("the replay path started a Ray Data job")
-
-    for name in ("read_parquet", "read_binary_files"):
-        monkeypatch.setattr(ray.data, name, refuse)
-    monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)
-    reports = eng.run(vacuum=False)
+    cfg = EngineConfig(num_buckets=8, epoch_width=1_000, hot_factor=0.1,
+                       max_salt=4)
+    eng = CdcEngine(lake, events_dir, cfg)
+    _refuse_ray_data(monkeypatch)
+    eng.bootstrap(pages)
+    if rebucket:
+        reports = eng.run(max_epochs=3, vacuum=False)
+        before = eng.read_table_arrow().sort_by("url")
+        assert eng.rebucket(16).num_buckets == 16
+        assert eng.read_table_arrow().sort_by("url").equals(before)
+        eng = CdcEngine(lake, events_dir,
+                        dataclasses.replace(cfg, num_buckets=16))
+        reports += eng.run(vacuum=False)
+    else:
+        reports = eng.run(vacuum=False)
     monkeypatch.undo()
     assert len(reports) == 4
     assert eng.store.latest().metrics["salted_buckets"] > 0
     oracle = oracle_final_state(pq.read_table(f"{d}/pages.parquet"), events)
     assert_matches_oracle(engine_df(eng), oracle)
+
+
+def test_neardup_bootstrap_seeds_index_without_ray_data_read(
+        ray_session, tmp_path_factory, monkeypatch):
+    """A near-dup bootstrap reads its snapshot once, through the exchange
+    (no Ray Data read, no groupby in the engine), and seeds the index with
+    every page that has text."""
+    corpus, _ = planted_cdc_neardup_corpus()
+    lake = str(tmp_path_factory.mktemp("px_neardup_lake"))
+    eng = CdcEngine(lake, f"{corpus}/events", EngineConfig(
+        num_buckets=4, epoch_width=4, pipeline_epochs=1, neardup_dedup=True))
+    _refuse_ray_data(monkeypatch, groupby_outside_engine=True)
+    eng.bootstrap(f"{corpus}/pages.parquet")
+    monkeypatch.undo()
+    pages = pq.read_table(f"{corpus}/pages.parquet")
+    with_text = {u for u, t in zip(pages.column("url").to_pylist(),
+                                   pages.column("text").to_pylist()) if t}
+    assert with_text and _index_rows(lake) and {
+        doc for _, doc in _index_rows(lake)} == with_text
+
+
+def test_bootstrap_snapshot_ties_resolve_in_file_order(ray_session,
+                                                       tmp_path_factory):
+    """A url two snapshot shards carry at the same warc_ts lands with the
+    later shard's row, and two fresh bootstraps write byte-identical base
+    files."""
+    snap = str(tmp_path_factory.mktemp("px_ties_snapshot"))
+    ts = pa.array([1_700_000_000_000_000] * 60, pa.timestamp("us"))
+    for shard, (lo, tag) in enumerate([(0, "first"), (30, "second")]):
+        urls = [f"http://tie/{i}" for i in range(lo, lo + 60)]
+        pq.write_table(pa.table({
+            "url": urls, "warc_ts": ts,
+            "html": pa.array([f"{tag} {u}".encode() for u in urls], pa.binary()),
+            "text": [f"{tag} {u}" for u in urls], "lang": ["en"] * 60,
+        }), f"{snap}/part-{shard}.parquet", row_group_size=10)
+
+    def load() -> tuple[dict, dict]:
+        lake = str(tmp_path_factory.mktemp("px_ties_lake"))
+        eng = CdcEngine(lake, lake, EngineConfig(num_buckets=4))
+        eng.bootstrap(snap)
+        data = f"{lake}/data"
+        files = {os.path.relpath(os.path.join(r, f), data):
+                 hashlib.sha256(open(os.path.join(r, f), "rb").read()).hexdigest()
+                 for r, _, fs in os.walk(data) for f in fs}
+        t = eng.read_table_arrow()
+        return dict(zip(t.column("url").to_pylist(),
+                        t.column("text").to_pylist())), files
+
+    rows, files = load()
+    assert len(rows) == 90
+    for i in range(90):
+        tag = "first" if i < 30 else "second"
+        assert rows[f"http://tie/{i}"] == f"{tag} http://tie/{i}"
+    assert load()[1] == files
 
 
 def test_reexecuted_epoch_stages_identical_files(ray_session, tmp_path_factory):
