@@ -567,16 +567,15 @@ def _reduce_slots(reduce, *slots: pa.Table) -> pa.Table:
 
 
 @functools.cache
-def _exchange_tasks():
-    """The exchange's map and reduce Ray tasks, registered once per
-    process and named per call. The callables they are handed
-    (``_BucketAndReduce``, ``_salted_partial_reduce``, ``_MergeBucket``,
-    ...) pickle by reference, so the worker resolves them through their
-    modules' attributes."""
+def _remote(fn):
+    """``fn`` as a one-CPU Ray task, registered once per process and named
+    per launch (ray is imported lazily: metadata-only commands never load
+    it). Module-level callables handed to these tasks (``_BucketAndReduce``,
+    ``_MergeBucket``, ...) pickle by reference, so the worker resolves them
+    through their modules' attributes."""
     import ray
 
-    task = ray.remote(num_cpus=1)
-    return task(_map_rows), task(_reduce_slots)
+    return ray.remote(num_cpus=1)(fn)
 
 
 def _push_exchange(inputs: list, prepare, route, reduce, num_buckets: int,
@@ -602,7 +601,7 @@ def _push_exchange(inputs: list, prepare, route, reduce, num_buckets: int,
         return [], 0
     if not ray.is_initialized():
         ray.init()  # as a Ray Data job or a task launch would
-    map_task, reduce_task = _exchange_tasks()
+    map_task, reduce_task = _remote(_map_rows), _remote(_reduce_slots)
     hot = hot or {}
     n = min(len(inputs), num_buckets,
             max(1, int(ray.cluster_resources().get("CPU", 8))))
@@ -763,16 +762,6 @@ def _probe(files: list[str], wanted: list[str], schema: pa.Schema,
                                   filters=[("url", "in", wanted)]))
 
 
-@functools.cache
-def _probe_task():
-    """``_probe`` as a Ray task named ``probe``, registered once per
-    process (ray is imported lazily: metadata-only commands never load
-    it)."""
-    import ray
-
-    return ray.remote(num_cpus=1)(_probe).options(name="probe")
-
-
 def _match_sorted(ou: np.ndarray, nu: np.ndarray):
     """Match the urls of two url-sorted, url-unique arrays (one bucket's
     old and new live state) by binary search. Returns ``(insert, gone,
@@ -802,11 +791,19 @@ def _live_hits(t: pa.Table, predicate) -> tuple[pa.Array, int]:
     return mask, int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
 
 
-# lineage row of one rewritten bucket (CdcEngine._rewrite_buckets)
-_REWRITE_LINEAGE = pa.schema([
-    ("bucket", pa.int32()), ("rows", pa.int64()), ("count", pa.int64()),
-    ("staged", pa.bool_()),
-])
+def _rewrite_one(spec: dict, fn, schema: pa.Schema, renames: dict[str, str],
+                 lake_dir: str, epoch: int) -> dict:
+    """``CdcEngine._rewrite_buckets``' task: load one bucket's merged
+    state, hand it to ``fn`` and stage a returned table, url-sorted, as
+    the bucket's base at ``epoch``. Returns the bucket's lineage row."""
+    bucket = int(spec["bucket"])
+    t = conform(_load_bucket(spec["files"], schema, renames), schema)
+    out, count = fn(t, spec)
+    if out is not None:
+        t = out.sort_by([("url", "ascending")])
+        ckpt.atomic_write_table(t, ckpt.staging_path(lake_dir, epoch, bucket))
+    return {"bucket": bucket, "rows": t.num_rows, "count": count,
+            "staged": out is not None}
 
 
 class CdcEngine:
@@ -1736,7 +1733,7 @@ class CdcEngine:
             return empty
         file_map = self.bucket_file_map(manifest)
         ren = dict(manifest.column_renames)
-        probe = _probe_task()
+        probe = _remote(_probe).options(name="probe")
         refs = [
             probe.remote(file_map[b], wanted, schema, ren)
             for b, wanted in sorted(by_bucket.items())
@@ -2215,42 +2212,32 @@ class CdcEngine:
 
     def _rewrite_buckets(self, specs: list[dict], fn, task_name: str,
                          source: Manifest, epoch: int) -> list[dict]:
-        """The one bucket-rewrite job of the maintenance commands: one Ray
-        task per spec (``{"bucket", "files", ...}``, files of ``source``)
-        loads the bucket's merged state — tombstones kept, conformed to
-        ``source``'s schema — and calls ``fn(table, spec) -> (table |
-        None, count)``. A returned table is staged, url-sorted, as the
-        bucket's base at ``epoch`` in THIS lake; None leaves the bucket
-        untouched. Returns the lineage: one ``{bucket, rows, count,
-        staged}`` row per spec (O(buckets) driver state), which
-        ``_commit_maintenance_epoch`` commits. ``task_name`` names the
-        Ray Data operator."""
-        import ray.data as rd
+        """The one bucket-rewrite job of the maintenance commands: one
+        plain Ray task named ``task_name`` per spec (``{"bucket", "files",
+        ...}``, files of ``source``) loads the bucket's merged state —
+        tombstones kept, conformed to ``source``'s schema — and calls
+        ``fn(table, spec) -> (table | None, count)``. A returned table is
+        staged, url-sorted, as the bucket's base at ``epoch`` in THIS
+        lake; None leaves the bucket untouched. Returns the lineage: one
+        ``{bucket, rows, count, staged}`` row per spec, in spec order
+        (O(buckets) driver state), which ``_commit_maintenance_epoch``
+        commits. If a task raises, every task of the call finishes before
+        the first error is re-raised with its type, so none is still
+        staging into ``epoch`` when a later command reuses it."""
+        import ray
 
+        if not specs:
+            return []
+        if not ray.is_initialized():
+            ray.init()  # as a Ray Data job or a task launch would
+        task = _remote(_rewrite_one).options(name=task_name)
+        fn_ref = ray.put(fn)
         schema = source.base_schema()
         ren = dict(source.column_renames)
-        lake_dir = self.lake_dir
-
-        def rewrite(batch: pa.Table) -> pa.Table:
-            rows = []
-            for spec in batch.to_pylist():
-                bucket = int(spec["bucket"])
-                t = conform(_load_bucket(spec["files"], schema, ren), schema)
-                out, count = fn(t, spec)
-                if out is not None:
-                    t = out.sort_by([("url", "ascending")])
-                    ckpt.atomic_write_table(
-                        t, ckpt.staging_path(lake_dir, epoch, bucket))
-                rows.append({"bucket": bucket, "rows": t.num_rows,
-                             "count": count, "staged": out is not None})
-            return pa.Table.from_pylist(rows, schema=_REWRITE_LINEAGE)
-
-        rewrite.__name__ = task_name
-        return (
-            rd.from_items(specs)
-            .map_batches(rewrite, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
+        refs = [task.remote(spec, fn_ref, schema, ren, self.lake_dir, epoch)
+                for spec in specs]
+        ray.wait(refs, num_returns=len(refs))
+        return ray.get(refs)
 
     def _commit_maintenance_epoch(self, m: Manifest, epoch: int, lineage,
                                   metrics: dict[str, int]) -> Manifest:

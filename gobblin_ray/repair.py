@@ -11,9 +11,10 @@ hold the identical state — e.g. a compacted source vs an uncompacted
 replica).
 
 Shape:
-- ``bucket_digests``: one merge+hash task per bucket, NO exchange (the
-  bucket router already co-locates state); each task returns 24 bytes.
-  Driver state is O(buckets).
+- ``bucket_digests``: one merge+hash task per bucket (the maintenance
+  commands' bucket-rewrite job, staging nothing), NO exchange (the
+  bucket router already co-locates state); each task returns one small
+  lineage row. Driver state is O(buckets).
 - ``repair``: digests both sides, rewrites only MISMATCHED buckets from
   the source's merged state, and commits on the destination as a
   maintenance epoch (watermark PINNED, same posture as compact_now).
@@ -46,61 +47,38 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import checkpoint as ckpt
-from .schema import conform
 
 _IDENTITY = ["url", "warc_ts", "event_seq", "is_deleted"]
 
-_DIGEST_SCHEMA = pa.schema([
-    ("bucket", pa.int32()),
-    ("rows", pa.int64()),
-    ("live_sum", pa.uint64()),
-    ("tomb_sum", pa.uint64()),
-])
 
-
-def _state_sums(t: pa.Table, schema: pa.Schema) -> tuple[int, int, int]:
-    """(rows, live_sum, tomb_sum) of one bucket's merged state."""
+def _digest(t: pa.Table, spec: dict) -> tuple[None, tuple[int, int]]:
+    """``bucket_digests``' rewrite fn: stage nothing, and count one
+    bucket's merged state as its ``(live_sum, tomb_sum)``."""
     from .functions.profile import _row_hash_u64
 
     dead = pc.fill_null(t.column("is_deleted"), False)
     live = t.filter(pc.invert(dead))
     tomb = t.filter(dead)
     with np.errstate(over="ignore"):
-        live_sum = int(_row_hash_u64(live, schema.names).sum(
+        live_sum = int(_row_hash_u64(live, t.column_names).sum(
             dtype=np.uint64)) if live.num_rows else 0
         tomb_sum = int(_row_hash_u64(tomb, _IDENTITY).sum(
             dtype=np.uint64)) if tomb.num_rows else 0
-    return t.num_rows, live_sum, tomb_sum
+    return None, (live_sum, tomb_sum)
 
 
-def bucket_digests(eng, manifest=None):
-    """Per-bucket content digests of a lake's merged state: a Dataset of
-    ``(bucket, rows, live_sum, tomb_sum)``, one merge+hash task per
-    bucket, nothing but O(buckets) rows leaving the workers."""
-    import ray.data as rd
-
-    from .engine import _load_bucket
-
+def bucket_digests(eng, manifest=None) -> list[dict]:
+    """Per-bucket content digests of a lake's merged state: one
+    ``{bucket, rows, count, staged}`` lineage row per bucket from
+    ``_rewrite_buckets``, ``count`` being ``(live_sum, tomb_sum)`` —
+    one merge+hash task per bucket, nothing but O(buckets) rows leaving
+    the workers."""
     m = manifest if manifest is not None else eng.store.latest()
     if m is None:
         raise ValueError("bucket_digests needs a bootstrapped lake")
-    schema = m.base_schema()
-    ren = dict(m.column_renames)
     fmap = eng.bucket_file_map(m)
     specs = [{"bucket": b, "files": fmap[b]} for b in sorted(fmap)]
-
-    def digest(batch: pa.Table) -> pa.Table:
-        rows = []
-        for row in batch.to_pylist():
-            t = conform(_load_bucket(row["files"], schema, ren), schema)
-            n, ls, ts = _state_sums(t, schema)
-            rows.append({"bucket": int(row["bucket"]), "rows": n,
-                         "live_sum": ls, "tomb_sum": ts})
-        return pa.Table.from_pylist(rows, schema=_DIGEST_SCHEMA)
-
-    digest.__name__ = "bucket_digest"
-    return rd.from_items(specs).map_batches(
-        digest, batch_format="pyarrow", batch_size=1)
+    return eng._rewrite_buckets(specs, _digest, "bucket_digest", m, m.epoch)
 
 
 def _check_comparable(m_src, m_dst) -> None:
@@ -140,15 +118,11 @@ def repair(src_eng, dst_eng, dry_run: bool = False) -> dict:
             raise ValueError("repair needs two bootstrapped lakes")
         _check_comparable(m_src, m_dst)
 
-        src_d = {r["bucket"]: r for r in
-                 bucket_digests(src_eng, m_src).take_all()}
-        dst_d = {r["bucket"]: r for r in
-                 bucket_digests(dst_eng, m_dst).take_all()}
-        mismatched = sorted(
-            b for b in src_d
-            if (src_d[b]["live_sum"], src_d[b]["tomb_sum"])
-            != (dst_d.get(b, {}).get("live_sum"),
-                dst_d.get(b, {}).get("tomb_sum")))
+        src_d = {r["bucket"]: r["count"]
+                 for r in bucket_digests(src_eng, m_src)}
+        dst_d = {r["bucket"]: r["count"]
+                 for r in bucket_digests(dst_eng, m_dst)}
+        mismatched = sorted(b for b in src_d if src_d[b] != dst_d.get(b))
         report = {"checked": len(src_d), "mismatched": mismatched,
                   "repaired": 0, "rows_written": 0}
         if dry_run or not mismatched:
