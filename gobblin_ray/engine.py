@@ -5,13 +5,14 @@ The Ray-Data-native re-expression of Gobblin's job lifecycle
 
     resume from checkpoint manifest            # commit-sequence replay :453-458
     for each epoch in plan_epochs(log, wm):    # Source.getWorkunits analog
-        map tasks, one per run of pruned row groups / avro files:
+        map tasks, one per run of pruned parquet row groups / avro blocks:
             read + (low, high] filter + conform
             renames, transforms, row policies  # Converter + RowLevelPolicy
             bucket + salt + partial LWW dedup   # combiner pre-agg
             -> one url-disjoint slot per bucket (per salt if hot)
         [hot bucket] salted_partial task per (bucket, salt): partial LWW
-        merge_bucket task per bucket: merge -> staged parquet
+        merge_bucket tasks, min(touched buckets, CPUs) packed largest-first
+          (+ one per hot bucket): merge each bucket -> staged parquet
         promote staged files (idempotent)      # FsRenameCommitStep analog
         commit manifest (atomic JSON)          # DatasetStateCommitStep analog
 
@@ -416,29 +417,31 @@ class _EpochPrep:
     constraints: dict  # Manifest.constraints
 
 
-def _read_splits(splits: list[tuple[str, int | None]]) -> list[pa.Table]:
-    """Read a run of ``(path, row_group)`` splits in order, one table per
-    read: consecutive row groups of one parquet file make one read, an
-    avro file (row group None) is read whole."""
+def _read_splits(splits: list[tuple[str, int]]) -> list[pa.Table]:
+    """Read a run of ``(path, piece)`` splits in order, one table per
+    read: consecutive pieces of one file — parquet row groups, avro blocks
+    — make one read. Avro goes through the module attribute
+    ``avro.read_container``, so a wrapper installed on it sees every
+    decode."""
     from .sources import avro
 
     reads: list = []
-    for path, g in splits:
-        if g is not None and reads and reads[-1][0] == path:
-            reads[-1][1].append(g)
+    for path, k in splits:
+        if reads and reads[-1][0] == path:
+            reads[-1][1].append(k)
         else:
-            reads.append((path, None if g is None else [g]))
+            reads.append((path, [k]))
     out = []
-    for path, groups in reads:
-        if groups is None:
-            out.append(avro.read_container(path))
+    for path, pieces in reads:
+        if path.endswith(".avro"):
+            out.append(avro.read_container(path, blocks=pieces))
         else:
             with pq.ParquetFile(path) as pf:
-                out.append(pf.read_row_groups(groups))
+                out.append(pf.read_row_groups(pieces))
     return out
 
 
-def _prepare_events(splits: list[tuple[str, int | None]],
+def _prepare_events(splits: list[tuple[str, int]],
                     prep: _EpochPrep) -> pa.Table:
     """An epoch map task's rows: its splits read in order, kept to the
     (low, high] span, conformed, then renamed, converted, validated and
@@ -470,7 +473,7 @@ def _prepare_events(splits: list[tuple[str, int | None]],
     return _enforce_constraints(t, prep.constraints) if prep.constraints else t
 
 
-def _prepare_snapshot(splits: list[tuple[str, int | None]],
+def _prepare_snapshot(splits: list[tuple[str, int]],
                       schema: pa.Schema) -> pa.Table:
     """A bootstrap map task's rows: its snapshot splits read in order,
     each row a live base row at ``event_seq`` -1, conformed to the base
@@ -561,9 +564,13 @@ def _map_rows(source, prepare, route=None, starts=None, dups=None):
     return (counts, *(t.take(order[e - n:e]) for n, e in zip(counts, ends)))
 
 
-def _reduce_slots(reduce, *slots: pa.Table) -> pa.Table:
-    """A reducer: its slots, in input order, to ``reduce``."""
-    return reduce(pa.concat_tables(slots))
+def _reduce_slots(reduce, sizes: list[int], *slots: pa.Table) -> pa.Table:
+    """A reducer task: ``reduce`` once per bucket it holds, in the order
+    held — ``sizes`` cuts ``slots`` into each bucket's run, concatenated in
+    input order — and their lineage rows concatenated."""
+    ends = np.cumsum(sizes)
+    return pa.concat_tables([reduce(pa.concat_tables(slots[e - n:e]))
+                             for n, e in zip(sizes, ends)])
 
 
 @functools.cache
@@ -584,17 +591,26 @@ def _push_exchange(inputs: list, prepare, route, reduce, num_buckets: int,
     """The engine's one exchange — epochs, ``bootstrap`` and ``rebucket``
     route rows through it: plain Ray tasks routing by the bucket id, no
     sort. ``min(inputs, buckets, CPUs)`` map tasks each take a contiguous
-    run of ``inputs``, build its rows with ``prepare(run)``, add the
-    bucket column with ``route`` and return one url-disjoint slot per
-    bucket — per (bucket, salt) for the ``hot`` buckets, which only
-    epochs have. A bucket's slots go by reference to one ``reduce`` task,
-    a hot bucket's through one ``salted_partial`` task per salt first;
-    slots concatenate in input order, so a re-run stages byte-identical
-    files and a url repeated across inputs resolves in input order.
+    run of ``inputs`` (the read splits: parquet row groups, avro blocks),
+    build its rows with ``prepare(run)``, add the bucket column with
+    ``route`` and return one url-disjoint slot per bucket — per (bucket,
+    salt) for the ``hot`` buckets, which only epochs have — and each
+    slot's row count.
+
+    The reduce side is packed, Gobblin's MultiWorkUnit posture: the
+    touched buckets that are not hot go to ``min(touched, CPUs)`` reduce
+    tasks, largest first by those row counts (``plan.pack_bins``), and
+    each task runs ``reduce`` once per bucket it holds, in bucket order.
+    A hot bucket keeps a reduce task of its own, fed by one
+    ``salted_partial`` task per salt. A bucket's slots concatenate in
+    input order, so a re-run stages byte-identical files and a url
+    repeated across inputs resolves in input order.
+
     ``verdicts`` (near-dup dedup) splits the map side in two rounds:
     prepare, then ``verdicts(prepared refs) -> (dup-url ref | None,
     count)``, then route. ``names``: the (prepare, route, reduce) task
-    names. Returns (the reducers' lineage rows, near-dup url count)."""
+    names. Returns (the reducers' lineage rows in bucket order, near-dup
+    url count)."""
     import ray
 
     if not inputs:
@@ -603,8 +619,8 @@ def _push_exchange(inputs: list, prepare, route, reduce, num_buckets: int,
         ray.init()  # as a Ray Data job or a task launch would
     map_task, reduce_task = _remote(_map_rows), _remote(_reduce_slots)
     hot = hot or {}
-    n = min(len(inputs), num_buckets,
-            max(1, int(ray.cluster_resources().get("CPU", 8))))
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
+    n = min(len(inputs), num_buckets, cpus)
     runs = [[inputs[i] for i in idx]
             for idx in np.array_split(np.arange(len(inputs)), n)]
     starts = _slot_starts(num_buckets, hot)
@@ -619,19 +635,31 @@ def _push_exchange(inputs: list, prepare, route, reduce, num_buckets: int,
                                   num_returns=1 + int(starts[-1]))
     outs = [route_task.remote(r, prepare, route, starts, dups) for r in runs]
     counts = ray.get([o[0] for o in outs])
+    rows = np.sum(counts, axis=0)
     reduce_ref = ray.put(reduce)
     partial_task = reduce_task.options(name="salted_partial")
     reduce_task = reduce_task.options(name=names[2])
-    reduces = []
+    reduces, packed = [], {}
     for b in range(num_buckets):
         # each slot's non-empty map outputs, in input order
         slots = [[o[1 + k] for o, c in zip(outs, counts) if c[k]]
                  for k in range(starts[b], starts[b + 1])]
-        parts = ([partial_task.remote(_salted_partial_reduce, *refs)
-                  for refs in slots if refs] if b in hot else slots[0])
+        if b not in hot:
+            if slots[0]:
+                packed[b] = slots[0]
+            continue
+        parts = [partial_task.remote(_salted_partial_reduce, [len(refs)], *refs)
+                 for refs in slots if refs]
         if parts:
-            reduces.append(reduce_task.remote(reduce_ref, *parts))
-    return [r for t in ray.get(reduces) for r in t.to_pylist()], n_dups
+            reduces.append(reduce_task.remote(reduce_ref, [len(parts)], *parts))
+    sizes = {b: int(rows[starts[b]]) for b in packed}
+    for held in planmod.pack_bins(sizes, min(len(packed), cpus)):
+        held = sorted(held)
+        reduces.append(reduce_task.remote(
+            reduce_ref, [len(packed[b]) for b in held],
+            *(ref for b in held for ref in packed[b])))
+    lineage = [r for t in ray.get(reduces) for r in t.to_pylist()]
+    return sorted(lineage, key=lambda r: r["bucket"]), n_dups
 
 
 class _MergeBucket:
@@ -853,10 +881,10 @@ class CdcEngine:
     def bootstrap(self, pages_path: str) -> Manifest:
         """Load the initial snapshot into bucketed base files (epoch 0)
         through the push exchange: map tasks over the snapshot's parquet
-        row groups and avro files, one ``bootstrap_write`` task per
-        bucket. A url the snapshot repeats at one ``warc_ts`` resolves in
-        snapshot order (parquet shards, then avro shards, each by name):
-        the last row wins. With ``neardup_dedup`` the same read also
+        row groups and avro blocks, ``bootstrap_write`` tasks packed as
+        in every exchange. A url the snapshot repeats at one ``warc_ts``
+        resolves in snapshot order (parquet shards, then avro shards, each
+        by name): the last row wins. With ``neardup_dedup`` the same read also
         seeds the near-dup index.
 
         Idempotent: returns the existing manifest if epoch 0 committed.
@@ -891,10 +919,10 @@ class CdcEngine:
                 probes.append(pf.schema_arrow)
                 splits += [(f, g) for g in range(pf.num_row_groups)]
         if av_files:
-            from .sources.avro import container_schema
+            from .sources.avro import block_count, container_schema
 
             probes += [container_schema(f) for f in av_files]
-            splits += [(f, None) for f in av_files]
+            splits += [(f, k) for f in av_files for k in range(block_count(f))]
         base_schema = unify_additive(
             *probes,
             pa.schema([("event_seq", pa.int64()), ("is_deleted", pa.bool_())]),

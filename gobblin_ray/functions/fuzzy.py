@@ -92,37 +92,13 @@ def _deletion_variants(t: pa.Table, id_col: str, s_col: str,
     })
 
 
-def _ed_le1(a: str, b: str) -> bool:
-    """Exact edit-distance-<=-1 check in one left-to-right scan."""
-    if a == b:
-        return True
-    la, lb = len(a), len(b)
-    if abs(la - lb) > 1:
-        return False
-    if la == lb:  # exactly one substitution allowed
-        seen = False
-        for x, y in zip(a, b):
-            if x != y:
-                if seen:
-                    return False
-                seen = True
-        return True
-    if la < lb:
-        a, b, la, lb = b, a, lb, la
-    # a is longer by 1: b must be a with one char deleted
-    i = 0
-    while i < lb and a[i] == b[i]:
-        i += 1
-    return a[i + 1:] == b[i:]
-
-
 def _ed_le1_mask(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """Vectorized exact ed<=1 over candidate pairs (the hot verify path —
     blocking on zero-padded / low-entropy keys yields candidates at
     ed<=2, often 100x the match count, so a Python per-pair loop here
     dominated the join wall clock). CODEPOINT-level (numpy 'U' is UTF-32;
     one fixed-width conversion per side, everything after is uint32
-    matrix arithmetic), matching the scalar reference, pyarrow's slicing
+    matrix arithmetic), matching pyarrow's slicing
     and SQL levenshtein. Keys must not contain NUL codepoints (zero is
     the pad)."""
     n = len(sa)

@@ -115,18 +115,24 @@ def approx_distinct(ds, column: str, k: int = 4096) -> float:
 
 # ---------------------------------------------------- frequent items (MG)
 
-def _mg_combine(acc: dict, keys, counts, k: int) -> tuple[dict, int]:
-    """Fold (keys, counts) into a Misra-Gries summary dict capped at k
-    counters. Returns (dict, err_added): pruning subtracts the (k+1)-th
-    largest count from every counter (the classic MG decrement, batched),
-    which adds that much possible undercount to every surviving counter."""
+def _mg_combine(state: dict, keys, counts, k: int, err: int = 0) -> dict:
+    """Fold (keys, counts) and ``err`` into a Misra-Gries summary capped at
+    k counters. The summary is ``{"keys", "counts", "err"}``: parallel
+    lists plus the undercount bound, a shape Ray Data holds as one Arrow
+    struct (a dict keyed by the values is no Arrow type). Pruning
+    subtracts the (k+1)-th largest count from every counter (the classic
+    MG decrement, batched) and adds it to ``err``, the possible
+    undercount of every surviving counter."""
+    acc = dict(zip(state["keys"], state["counts"]))
     for key, c in zip(keys, counts):
         acc[key] = acc.get(key, 0) + int(c)
-    if len(acc) <= k:
-        return acc, 0
-    vals = np.sort(np.fromiter(acc.values(), dtype=np.int64))
-    cut = int(vals[len(vals) - k - 1])  # (k+1)-th largest
-    return {key: c - cut for key, c in acc.items() if c > cut}, cut
+    err += int(state["err"])
+    if len(acc) > k:
+        vals = np.sort(np.fromiter(acc.values(), dtype=np.int64))
+        cut = int(vals[len(vals) - k - 1])  # (k+1)-th largest
+        acc = {key: c - cut for key, c in acc.items() if c > cut}
+        err += cut
+    return {"keys": list(acc), "counts": list(acc.values()), "err": err}
 
 
 def heavy_hitters(ds, column: str, k: int = 8192, top_n: int = 20):
@@ -154,28 +160,19 @@ def heavy_hitters(ds, column: str, k: int = 8192, top_n: int = 20):
     from ray.data.aggregate import AggregateFn
 
     def acc_block(acc, block):
-        d, err = acc
         vc = block.column(column).drop_null().value_counts()
-        keys = vc.field("values").to_pylist()
-        counts = vc.field("counts").to_numpy(zero_copy_only=False)
-        d2, added = _mg_combine(dict(d), keys, counts, k)
-        return (d2, err + added)
-
-    def merge(a, b):
-        d, err = a
-        d2, added = _mg_combine(
-            dict(d), list(b[0].keys()), list(b[0].values()), k
-        )
-        return (d2, err + b[1] + added)
+        return _mg_combine(acc, vc.field("values").to_pylist(),
+                           vc.field("counts").to_pylist(), k)
 
     agg = AggregateFn(
-        init=lambda _k: ({}, 0),
+        init=lambda _k: {"keys": [], "counts": [], "err": 0},
         accumulate_block=acc_block,
-        merge=merge,
+        merge=lambda a, b: _mg_combine(a, b["keys"], b["counts"], k, b["err"]),
         finalize=lambda acc: acc,
         name="mg_heavy_hitters",
     )
-    d, err = ds.aggregate(agg)["mg_heavy_hitters"]
+    mg = ds.aggregate(agg)["mg_heavy_hitters"]
+    d, err = dict(zip(mg["keys"], mg["counts"])), int(mg["err"])
     items = sorted(d.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
     return pa.table({
         "value": pa.array([i[0] for i in items]),

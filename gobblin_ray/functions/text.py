@@ -1044,28 +1044,6 @@ def remove_dup_spans(
     return both.groupby("_dp").map_groups(rewrite, batch_format="pyarrow")
 
 
-def rolling_hash_fingerprint(text_col: str = "text", out: str = "rhash",
-                             window: int = 64):
-    """Winnowing-style document sketch: min polynomial rolling hash over
-    byte windows — a cheap locality-sensitive fingerprint (numpy per row)."""
-
-    def run(t: pa.Table) -> pa.Table:
-        # constant across rows — hoisted out of the per-doc loop
-        powers = np.power(131, np.arange(window, dtype=np.uint64),
-                          dtype=np.uint64)
-        vals = []
-        for s in t.column(text_col).to_pylist():
-            b = np.frombuffer((s or "").encode("utf-8", "ignore"), dtype=np.uint8)
-            if len(b) < window:
-                b = np.pad(b, (0, window - len(b)), constant_values=32)
-            win = np.lib.stride_tricks.sliding_window_view(b, window).astype(np.uint64)
-            vals.append(int((win * powers).sum(axis=1).min()))
-        return t.append_column(out, pa.array(np.array(vals, dtype=np.uint64).astype(np.int64)))
-
-    run.__name__ = "rolling_hash"
-    return run
-
-
 _PII_PATTERNS = [
     # order matters: emails before bare domains; longest-match patterns
     # first. RE2 syntax (pyarrow and DuckDB both run RE2, so the SQL

@@ -12,8 +12,8 @@ the event-log shard metadata — O(shards + buckets), never O(events)
   KafkaSource.java:544-676).
 - ``prune_shards``: shard files overlapping an interval (row-group /
   partition pruning at the read — only relevant bytes leave storage);
-  ``epoch_splits`` refines them to the row groups an epoch's map tasks
-  read.
+  ``epoch_splits`` refines them to the parquet row groups and avro
+  blocks an epoch's map tasks read.
 - ``salt_plan``: per-bucket event counts from the previous epoch decide
   which hot buckets get salted sub-partitions this epoch
   (bin-packing / WorkUnitChangeEvent hot-split analog,
@@ -238,18 +238,21 @@ def row_groups_in(pf, low: int, high: int):
 
 
 def epoch_splits(log_meta: dict, events_dir: str, low: int,
-                 high: int) -> list[tuple[str, int | None]]:
+                 high: int) -> list[tuple[str, int]]:
     """The read splits of ``(low, high]`` in log order, as ``(path,
-    row_group)``: every parquet row group ``row_groups_in`` keeps (footer
-    reads only), every avro shard whole (``row_group`` None — a container
-    has no seekable groups)."""
+    piece)``: every parquet row group ``row_groups_in`` keeps (footer reads
+    only) and every block of each avro shard (block headers only: the
+    payloads are seeked past, none is inflated; blocks carry no
+    ``event_seq`` stats, so none is pruned)."""
     import pyarrow.parquet as pq
 
-    out: list[tuple[str, int | None]] = []
+    from .sources.avro import block_count
+
+    out: list[tuple[str, int]] = []
     for s in prune_shards(log_meta, low, high):
         path = os.path.join(events_dir, s["file"])
         if path.endswith(".avro"):
-            out.append((path, None))
+            out += [(path, k) for k in range(block_count(path))]
         else:
             with pq.ParquetFile(path) as pf:
                 out += [(path, g) for g, _, _ in row_groups_in(pf, low, high)]

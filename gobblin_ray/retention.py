@@ -13,7 +13,7 @@ trash):
   older than now - retention"), NewestKRetentionPolicy
   (NewestKRetentionPolicy.java:39 "retain the newest k"),
   CombineRetentionPolicy (CombineRetentionPolicy.java UNION/INTERSECT of
-  delete sets), DeleteAll / DeleteNothing.
+  delete sets), DeleteAll.
 - trash            -> Trash (trash/Trash.java:49 — move into a timestamped
   snapshot dir under a trash root instead of deleting; snapshots are
   purgeable later)
@@ -190,11 +190,6 @@ class CombineRetentionPolicy:
 class DeleteAllRetentionPolicy:
     def deletable(self, versions):
         return list(versions)
-
-
-class DeleteNothingRetentionPolicy:
-    def deletable(self, versions):
-        return []
 
 
 class Trash:

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import io
+import itertools
 import json
 import struct
 import zlib
@@ -169,7 +171,7 @@ def arrow_to_avro_schema(schema: pa.Schema, name: str = "Record") -> dict:
 
 
 def avro_to_arrow_schema(avro_schema: dict) -> pa.Schema:
-    return pa.schema(_compile_record(json.dumps(avro_schema)).arrow_type)
+    return pa.schema(_compile_record(json.dumps(avro_schema)).codec.arrow_type)
 
 
 # ------------------------------------------------------- compiled codec
@@ -177,36 +179,87 @@ def avro_to_arrow_schema(avro_schema: dict) -> pa.Schema:
 
 class _Codec(NamedTuple):
     """One Avro type compiled once: its Arrow type, ``encode(buf, value)``
-    for a plain Python value (from Arrow ``to_pylist``) and
-    ``decode(mv, pos) -> (value, pos)``. A record also lists its
-    ``(name, codec)`` fields, which the block loops walk."""
+    for a plain Python value (from Arrow ``to_pylist``),
+    ``decode(mv, pos) -> (value, pos)`` and ``emit(sink, fresh)``, the
+    source lines of the same decode for the generated block decoder (see
+    ``_row_decoder``): they read one value at ``pos`` in ``buf``, advance
+    ``pos`` and hand the value to ``sink``, a statement template with one
+    ``{}``; ``fresh`` numbers the temporaries nested types need. A record
+    also lists its ``(name, codec)`` fields, which the block loops walk.
+    The ``decode`` closures are the reference the generated decoder is
+    tested against."""
 
     arrow_type: pa.DataType
     encode: Callable
     decode: Callable
+    emit: Callable
     fields: tuple = ()
 
 
-def _required(arrow_type, enc, dec, fields=()) -> _Codec:
+def _varint(var: str) -> list[str]:
+    """Source lines reading one zigzag varint at ``pos`` into ``var``,
+    ``_read_long`` inlined (a call per value costs more than the decode)."""
+    return [f"{var} = buf[pos]",
+            "pos += 1",
+            f"if {var} > 0x7F:",
+            f"    {var} &= 0x7F",
+            "    shift = 7",
+            "    while True:",
+            "        b = buf[pos]",
+            "        pos += 1",
+            f"        {var} |= (b & 0x7F) << shift",
+            "        if b < 0x80:",
+            "            break",
+            "        shift += 7",
+            f"{var} = ({var} >> 1) ^ -({var} & 1)"]
+
+
+def _indent(lines: list[str], depth: int = 1) -> list[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _required(arrow_type, enc, dec, emit, fields=()) -> _Codec:
     """A codec outside any union: None is an error, never a skipped value."""
     def encode(buf, v):
         if v is None:
             raise ValueError(f"None for a required Avro {arrow_type} value")
         enc(buf, v)
-    return _Codec(arrow_type, encode, dec, fields)
+    return _Codec(arrow_type, encode, dec, emit, fields)
 
 
-def _packed(arrow_type, fmt: str) -> _Codec:
+def _packed(arrow_type, fmt: str, unpack: str) -> _Codec:
+    """A fixed-width little-endian float; ``unpack`` names the generated
+    decoder's bound ``unpack_from`` for ``fmt``."""
     s = struct.Struct(fmt)
-    return _required(arrow_type, lambda buf, v: buf.extend(s.pack(v)),
-                     lambda mv, pos: (s.unpack_from(mv, pos)[0], pos + s.size))
+    return _required(
+        arrow_type, lambda buf, v: buf.extend(s.pack(v)),
+        lambda mv, pos: (s.unpack_from(mv, pos)[0], pos + s.size),
+        lambda sink, fresh: [sink.format(f"{unpack}(buf, pos)[0]"),
+                             f"pos += {s.size}"])
+
+
+def _emit_long(sink, fresh) -> list[str]:
+    return _varint("u") + [sink.format("u")]
+
+
+def _emit_bytes(to_value: str):
+    """The emitter of a length-prefixed value: ``to_value`` wraps the
+    payload's byte slice."""
+    def emit(sink, fresh):
+        return _varint("u") + [
+            "if u < 0:",
+            "    raise ValueError(f'negative Avro length {u} at byte {pos}')",
+            "end = pos + u",
+            sink.format(to_value.format("buf[pos:end]")),
+            "pos = end"]
+    return emit
 
 
 def _logical(arrow_type, to_int) -> _Codec:
     """A logical type on its base int/long. ``encode_block`` casts top-level
     timestamps to ints vectorized; other values arrive as datetime/date."""
     return _required(arrow_type, lambda buf, v: _write_long(
-        buf, v if isinstance(v, int) else to_int(v)), _read_long)
+        buf, v if isinstance(v, int) else to_int(v)), _read_long, _emit_long)
 
 
 def _read_string(mv: memoryview, pos: int) -> tuple[str, int]:
@@ -214,19 +267,23 @@ def _read_string(mv: memoryview, pos: int) -> tuple[str, int]:
     return b.decode("utf-8"), pos
 
 
-_NULL = _Codec(pa.null(), lambda buf, v: None, lambda mv, pos: (None, pos))
+_NULL = _Codec(pa.null(), lambda buf, v: None, lambda mv, pos: (None, pos),
+               lambda sink, fresh: [sink.format("None")])
 _PRIMITIVES = {
     "null": _NULL,
     "boolean": _required(pa.bool_(), lambda buf, v: buf.append(1 if v else 0),
-                         lambda mv, pos: (mv[pos] == 1, pos + 1)),
-    "int": _required(pa.int32(), _write_long, _read_long),
-    "long": _required(pa.int64(), _write_long, _read_long),
-    "float": _packed(pa.float32(), "<f"),
-    "double": _packed(pa.float64(), "<d"),
-    "bytes": _required(pa.binary(), _write_bytes, _read_bytes),
+                         lambda mv, pos: (mv[pos] == 1, pos + 1),
+                         lambda sink, fresh: [sink.format("buf[pos] == 1"),
+                                              "pos += 1"]),
+    "int": _required(pa.int32(), _write_long, _read_long, _emit_long),
+    "long": _required(pa.int64(), _write_long, _read_long, _emit_long),
+    "float": _packed(pa.float32(), "<f", "unpack_f"),
+    "double": _packed(pa.float64(), "<d", "unpack_d"),
+    "bytes": _required(pa.binary(), _write_bytes, _read_bytes,
+                       _emit_bytes("{}")),
     "string": _required(
         pa.string(), lambda buf, v: _write_bytes(buf, v.encode("utf-8")),
-        _read_string),
+        _read_string, _emit_bytes("utf8({})")),
 }
 # logicalType -> (the base type it annotates, codec); on any other base the
 # annotation is ignored, as the spec says
@@ -267,7 +324,24 @@ def _union(branches: list[_Codec]) -> _Codec:
         if not 0 <= ix < len(decs):
             raise ValueError(f"Avro union index {ix} out of range")
         return decs[ix](mv, pos)
-    return _Codec(value.arrow_type, encode, decode)
+
+    def emit(sink, fresh):
+        # dispatch on the index's zigzag code (2 * index) as read: one
+        # byte for any sane index; a longer varint is decoded and
+        # re-encoded, so an index in range is never missed
+        lines = ["u = buf[pos]", "pos += 1", "if u > 0x7F:",
+                 "    u, pos = read_long(buf, pos - 1)",
+                 "    u = 2 * u if u >= 0 else -2 * u - 1"]
+        # the value branch is tested first: most values are not null
+        order = sorted(range(len(branches)), key=lambda i: branches[i] is _NULL)
+        for k, i in enumerate(order):
+            lines += [f"{'elif' if k else 'if'} u == {2 * i}:",
+                      *_indent(branches[i].emit(sink, fresh))]
+        return lines + [
+            "else:",
+            "    raise ValueError("
+            "f'Avro union index {(u >> 1) ^ -(u & 1)} out of range')"]
+    return _Codec(value.arrow_type, encode, decode, emit)
 
 
 def _record(fields: list[tuple[str, _Codec]]) -> _Codec:
@@ -280,8 +354,15 @@ def _record(fields: list[tuple[str, _Codec]]) -> _Codec:
         for name, c in fields:
             out[name], pos = c.decode(mv, pos)
         return out, pos
+
+    def emit(sink, fresh):
+        k, lines, items = next(fresh), [], []
+        for j, (name, c) in enumerate(fields):
+            lines += c.emit(f"r{k}_{j} = {{}}", fresh)
+            items.append(f"{name!r}: r{k}_{j}")
+        return lines + [sink.format("{" + ", ".join(items) + "}")]
     arrow_type = pa.struct([pa.field(n, c.arrow_type) for n, c in fields])
-    return _required(arrow_type, encode, decode, tuple(fields))
+    return _required(arrow_type, encode, decode, emit, tuple(fields))
 
 
 def _array(item: _Codec) -> _Codec:
@@ -304,7 +385,20 @@ def _array(item: _Codec) -> _Codec:
             for _ in range(n):
                 x, pos = item.decode(mv, pos)
                 out.append(x)
-    return _required(pa.list_(item.arrow_type), encode, decode)
+
+    def emit(sink, fresh):
+        k = next(fresh)
+        out, n = f"l{k}", f"n{k}"
+        return [f"{out} = []", *_varint(n),
+                f"while {n}:",
+                f"    if {n} < 0:",  # block with byte-size prefix
+                *_indent(_varint("u"), 2),
+                f"        {n} = -{n}",
+                f"    for _ in range({n}):",
+                *_indent(item.emit(f"{out}.append({{}})", fresh), 2),
+                *_indent(_varint(n)),
+                sink.format(out)]
+    return _required(pa.list_(item.arrow_type), encode, decode, emit)
 
 
 def _compile(avro_t: object) -> _Codec:
@@ -330,13 +424,67 @@ def _compile(avro_t: object) -> _Codec:
     raise TypeError(f"no Arrow mapping for Avro type {avro_t!r}")
 
 
+class _Record(NamedTuple):
+    """A container's compiled record schema: its codec (fields, Arrow
+    type, encoders) and ``decode_rows(buf, count) -> (end pos, columns)``,
+    the generated block decoder."""
+
+    codec: _Codec
+    decode_rows: Callable
+
+
+def _row_decoder(rec: _Codec) -> Callable:
+    """Generate, ``exec`` and return ``decode_rows(buf, count)``: one
+    straight-line function over the record's fields that decodes
+    ``count`` records from the bytes ``buf`` into one list per top-level
+    field (varints, zigzag and union dispatch inlined; values appended
+    straight to the column lists) and returns ``(pos, columns)``, ``pos``
+    being where the last record ended. Field names enter the source only
+    as ``repr`` literals. A payload that ends early raises IndexError or
+    struct.error, which ``decode_block`` turns into ValueError. A schema
+    nesting deeper than Python compiles (about ten levels of arrays)
+    decodes through the ``decode`` closures instead."""
+    fresh = itertools.count()
+    cols = range(len(rec.fields))
+    body = [line for i, (_, c) in zip(cols, rec.fields)
+            for line in c.emit(f"a{i}({{}})", fresh)]
+    src = [
+        "def decode_rows(buf, count, read_long=read_long, unpack_f=unpack_f,"
+        " unpack_d=unpack_d, utf8=utf8):",
+        *(f"    c{i} = []; a{i} = c{i}.append" for i in cols),
+        "    pos = 0",
+        "    for _ in range(count):",
+        *_indent(body or ["pass"], 2),
+        f"    return pos, [{''.join(f'c{i}, ' for i in cols)}]",
+    ]
+    scope = {"read_long": _read_long, "utf8": bytes.decode,
+             "unpack_f": struct.Struct("<f").unpack_from,
+             "unpack_d": struct.Struct("<d").unpack_from}
+    try:
+        exec(compile("\n".join(src), "<avro decode_rows>", "exec"), scope)
+        return scope["decode_rows"]
+    except SyntaxError:  # too many statically nested blocks
+        pass
+    decs = [c.decode for _, c in rec.fields]
+
+    def decode_rows(buf, count):
+        cols, pos = [[] for _ in decs], 0
+        for _ in range(count):
+            for dec, col in zip(decs, cols):
+                v, pos = dec(buf, pos)
+                col.append(v)
+        return pos, cols
+    return decode_rows
+
+
 @functools.lru_cache(maxsize=64)
-def _compile_record(schema_json: str) -> _Codec:
-    """A container's record schema, compiled once per schema text."""
+def _compile_record(schema_json: str) -> _Record:
+    """A container's record schema, compiled once per schema text: one
+    walk builds the codecs and the generated block decoder."""
     rec = _compile(json.loads(schema_json))
     if not pa.types.is_struct(rec.arrow_type):
         raise TypeError("an Avro container schema must be a record")
-    return rec
+    return _Record(rec, _row_decoder(rec))
 
 
 # ---------------------------------------------------------- block codec
@@ -345,7 +493,7 @@ def _compile_record(schema_json: str) -> _Codec:
 def encode_block(table: pa.Table, avro_schema: dict) -> bytes:
     """Encode one Arrow table as the concatenated Avro binary records of a
     container block (uncompressed payload; count = table.num_rows)."""
-    rec = _compile_record(json.dumps(avro_schema))
+    rec = _compile_record(json.dumps(avro_schema)).codec
     cols = []
     for name, c in rec.fields:
         col, t = table.column(name), c.arrow_type
@@ -362,26 +510,19 @@ def encode_block(table: pa.Table, avro_schema: dict) -> bytes:
 
 def decode_block(payload: bytes, count: int, avro_schema: dict) -> pa.Table:
     """Decode one container block's records into an Arrow table typed by
-    the inverse lattice (timestamps come back as timestamp[us/ms] etc.).
-    A payload that does not hold exactly ``count`` records raises
-    ValueError."""
+    the inverse lattice (timestamps come back as timestamp[us/ms] etc.)
+    with the record's generated decoder. A payload that does not hold
+    exactly ``count`` records raises ValueError."""
     rec = _compile_record(json.dumps(avro_schema))
-    mv = memoryview(payload)
-    pos = 0
-    decs = [c.decode for _, c in rec.fields]
-    cols: list[list] = [[] for _ in decs]
-    appends = [c.append for c in cols]
+    buf = bytes(payload)
     try:
-        for _ in range(count):
-            for dec, append in zip(decs, appends):
-                v, pos = dec(mv, pos)
-                append(v)
+        pos, cols = rec.decode_rows(buf, count)
     except (IndexError, struct.error):
-        pos = len(mv) + 1
-    if pos != len(mv):
+        pos = len(buf) + 1
+    if pos != len(buf):
         raise ValueError(f"Avro block does not hold exactly {count} records "
-                         f"(stopped at byte {pos} of {len(mv)})")
-    schema = pa.schema(rec.arrow_type)
+                         f"(stopped at byte {pos} of {len(buf)})")
+    schema = pa.schema(rec.codec.arrow_type)
     return pa.Table.from_arrays(
         [pa.array(col, f.type) for col, f in zip(cols, schema)], schema=schema
     )
@@ -441,11 +582,9 @@ def write_container(
             f.write(bytes(buf))
 
 
-def _read_header(mv: memoryview) -> tuple[dict, int]:
-    """Parse the container header (magic + metadata map) -> (meta, pos).
-    ONE implementation shared by read_container and container_schema
-    (review finding: two copies of the header loop can silently
-    desync)."""
+def _parse_header(mv: memoryview) -> tuple[dict, int]:
+    """Parse the container header (magic + metadata map) -> (meta, pos);
+    a header longer than ``mv`` raises IndexError."""
     if bytes(mv[:4]) != MAGIC:
         raise ValueError("not an Avro object container (bad magic)")
     pos = 4
@@ -464,36 +603,109 @@ def _read_header(mv: memoryview) -> tuple[dict, int]:
     return meta, pos
 
 
-def read_container(path_or_bytes) -> pa.Table:
-    """Read one Avro object-container file back to Arrow."""
+def _read_header(f) -> tuple[dict, bytes]:
+    """Read the header of the container open as the binary file ``f`` (at
+    its start) -> (metadata, sync marker), leaving ``f`` at the first
+    block. ONE implementation shared by every reader (review finding: two
+    copies of the header loop can silently desync). Reads 64 KB, more
+    only for a bigger header."""
+    head = b""
+    while True:
+        more = f.read(max(1 << 16, len(head)))
+        head += more
+        try:
+            meta, pos = _parse_header(memoryview(head))
+            if len(head) >= pos + 16:
+                break
+        except IndexError:
+            pass
+        if not more:
+            raise ValueError("Avro container header cut short")
+    f.seek(pos + 16)
+    return meta, head[pos:pos + 16]
+
+
+def _read_varint(f) -> int | None:
+    """One zigzag varint read from the file ``f``; None at its end."""
+    u = shift = 0
+    while b := f.read(1):
+        u |= (b[0] & 0x7F) << shift
+        if b[0] < 0x80:
+            return (u >> 1) ^ -(u & 1)
+        shift += 7
+    if shift:
+        raise ValueError("Avro varint cut short at the end of the container")
+    return None
+
+
+def _blocks(f, sync: bytes, wanted):
+    """Walk the blocks after the header: ``(index, record count,
+    payload)`` each, in file order. A block outside ``wanted`` (a set of
+    indexes; None wants every block) is seeked past, its payload None and
+    unread. A wanted block whose payload is cut short or is not followed
+    by the sync marker raises ValueError."""
+    k = 0
+    while (count := _read_varint(f)) is not None:
+        size = _read_varint(f)
+        if size is None or size < 0 or count < 0:
+            raise ValueError(f"Avro block {k} has a bad header "
+                             f"(count {count}, size {size})")
+        if wanted is None or k in wanted:
+            payload = f.read(size)
+            if len(payload) != size or f.read(16) != sync:
+                raise ValueError("sync marker mismatch (corrupt block)")
+            yield k, count, payload
+        else:
+            f.seek(size + 16, io.SEEK_CUR)
+            yield k, count, None
+        k += 1
+
+
+def _open(path_or_bytes):
     if isinstance(path_or_bytes, (bytes, bytearray, memoryview)):
-        data = bytes(path_or_bytes)
-    else:
-        with open(path_or_bytes, "rb") as f:
-            data = f.read()
-    mv = memoryview(data)
-    meta, pos = _read_header(mv)
-    avro_schema = json.loads(meta["avro.schema"].decode())
-    codec = meta.get("avro.codec", b"null").decode()
-    sync = bytes(mv[pos:pos + 16])
-    pos += 16
+        return io.BytesIO(path_or_bytes)
+    return open(path_or_bytes, "rb")
+
+
+def read_container(path_or_bytes, blocks=None) -> pa.Table:
+    """Read one Avro object-container file (a path or its bytes) back to
+    Arrow: every block, or only the blocks whose indexes ``blocks`` lists,
+    in file order — the walk seeks past the other payloads and stops after
+    the last wanted block. An index the file does not have raises
+    ValueError."""
+    wanted = None if blocks is None else set(blocks)
     tables = []
-    while pos < len(mv):
-        count, pos = _read_long(mv, pos)
-        size, pos = _read_long(mv, pos)
-        payload = bytes(mv[pos:pos + size])
-        pos += size
-        if bytes(mv[pos:pos + 16]) != sync:
-            raise ValueError("sync marker mismatch (corrupt block)")
-        pos += 16
-        if codec == "deflate":
-            payload = zlib.decompress(payload, wbits=-15)
-        elif codec != "null":
-            raise ValueError(f"unsupported avro codec {codec!r}")
-        tables.append(decode_block(payload, count, avro_schema))
+    with _open(path_or_bytes) as f:
+        meta, sync = _read_header(f)
+        avro_schema = json.loads(meta["avro.schema"].decode())
+        codec = meta.get("avro.codec", b"null").decode()
+        for k, count, payload in _blocks(f, sync, wanted):
+            if payload is None:
+                continue
+            if codec == "deflate":
+                payload = zlib.decompress(payload, wbits=-15)
+            elif codec != "null":
+                raise ValueError(f"unsupported avro codec {codec!r}")
+            tables.append(decode_block(payload, count, avro_schema))
+            if wanted is not None:
+                wanted.discard(k)
+                if not wanted:
+                    break
+    if wanted:
+        raise ValueError(f"no Avro block {min(wanted)} in the container")
     if not tables:
         return avro_to_arrow_schema(avro_schema).empty_table()
     return pa.concat_tables(tables)
+
+
+def block_count(path_or_bytes) -> int:
+    """How many blocks a container (a path or its bytes) holds, from the
+    block headers alone: every payload is seeked past, none is read or
+    inflated — what a planner needs to split a file at block
+    boundaries."""
+    with _open(path_or_bytes) as f:
+        _, sync = _read_header(f)
+        return sum(1 for _ in _blocks(f, sync, ()))
 
 
 def container_schema(path: str) -> pa.Schema:
@@ -503,14 +715,7 @@ def container_schema(path: str) -> pa.Schema:
     analog; Avro's schema lives in the file header, so this reads a few
     KB regardless of file size)."""
     with open(path, "rb") as f:
-        head = f.read(1 << 20)  # header is tiny; 1 MB covers huge schemas
-    try:
-        meta, _pos = _read_header(memoryview(head))
-    except IndexError:
-        raise ValueError(
-            f"Avro container header in {path!r} exceeds the 1 MB probe "
-            "window — read the full file via read_container"
-        ) from None
+        meta, _ = _read_header(f)
     return avro_to_arrow_schema(json.loads(meta["avro.schema"].decode()))
 
 

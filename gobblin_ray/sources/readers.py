@@ -129,13 +129,6 @@ def read_json_source(paths, **kw):
     return rd.read_json(paths, **kw)
 
 
-def read_binary_source(paths, include_paths: bool = True, **kw):
-    """Opaque-payload reader (multimodal ingestion entry point)."""
-    import ray.data as rd
-
-    return rd.read_binary_files(paths, include_paths=include_paths, **kw)
-
-
 def read_orc_source(paths, columns=None, files_per_task: int = 1):
     """ORC source (gobblin-modules/gobblin-orc analog). Ray Data has no
     built-in ORC reader, so each task decodes whole ORC files via

@@ -20,7 +20,6 @@ import os
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -56,10 +55,6 @@ def _zipf_indices(rng: np.random.Generator, a: float, size: int, n: int) -> np.n
     """Zipf-distributed indices in [0, n) — hot-prefix skew is intentional."""
     z = rng.zipf(a, size=size)
     return (z - 1) % n
-
-
-def _compose(prefix: pd.Series, pool: np.ndarray, pick: np.ndarray) -> pd.Series:
-    return prefix + pd.Series(pool[pick], dtype=object)
 
 
 def _join(*parts) -> "pa.Array":

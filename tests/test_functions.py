@@ -664,6 +664,39 @@ def test_heavy_hitters_pruned_error_bound(ray_session):
         assert t - err <= r["n"] <= t
 
 
+def test_heavy_hitters_logs_no_arrow_conversion_error(ray_session, capfd):
+    """The Misra-Gries state is an Arrow value, so Ray Data's workers do
+    not fall back to pickling it and log no ArrowConversionError (int
+    keys: a value-keyed dict is no Arrow struct). Worker output reaches
+    the driver through Ray's log monitor; a task printing a marker after
+    the aggregation bounds the wait for it."""
+    import time
+
+    import ray
+    import ray.data as rd
+
+    from gobblin_ray.functions.sketch import heavy_hitters
+
+    vals = np.repeat(np.arange(10, dtype=np.int64), np.arange(1, 11))
+    ds = rd.from_arrow(pa.table({"u": vals})).repartition(4)
+    got = heavy_hitters(ds, "u", k=4, top_n=2)
+    assert got.column("value").to_pylist()[0] == 9
+
+    @ray.remote
+    def marker():
+        print("heavy-hitters-log-marker", flush=True)
+
+    ray.get(marker.remote())
+    seen = ""
+    deadline = time.time() + 30
+    while "heavy-hitters-log-marker" not in seen and time.time() < deadline:
+        time.sleep(0.2)
+        out, err = capfd.readouterr()
+        seen += out + err
+    assert "heavy-hitters-log-marker" in seen
+    assert "ArrowConversionError" not in seen
+
+
 def test_repetition_signals_crafted():
     """Hand-checkable repetition fractions on crafted docs + parity with a
     brute-force Python gram counter on random repetitive text."""

@@ -216,3 +216,125 @@ def test_reexecuted_epoch_stages_identical_files(ray_session, tmp_path_factory):
     second = eng._execute_epoch(ep2, m1, log_meta)
     assert staged() == files
     assert sum(r["errors"] for r in second["lineage"]) == 3
+
+
+def _count_launches(monkeypatch):
+    """Count the engine's task launches by task name (``_remote`` wrapped
+    in the driver)."""
+    import collections
+
+    from gobblin_ray import engine
+
+    launched = collections.Counter()
+    real = engine._remote
+
+    class Counted:
+        def __init__(self, fn):
+            self.task = real(fn)
+
+        def options(self, **kw):
+            task = self.task.options(**kw)
+
+            class Launch:
+                def remote(_, *a, **k):
+                    launched[kw.get("name")] += 1
+                    return task.remote(*a, **k)
+            return Launch()
+
+    monkeypatch.setattr(engine, "_remote", Counted)
+    return launched
+
+
+def _avro_log(d: str, out: str, files: int) -> list[pa.Table]:
+    """The first ``files`` thousand events of the corpus as avro shards of
+    1,000 events in two 500-row blocks each: an epoch of width 1,000
+    reads one shard, as two block splits. Returns the shards' tables."""
+    shards = _corpus(d)
+    events = pa.concat_tables([pq.read_table(f"{d}/events/{f}") for f in shards],
+                              promote_options="default")
+    parts = [events.slice(1_000 * i, 1_000) for i in range(files)]
+    for i, t in enumerate(parts):
+        write_container(t, f"{out}/part-{i:05d}.avro", rows_per_block=500)
+    return parts
+
+
+def test_packed_epoch_task_shape(ray_session, tmp_path_factory, monkeypatch):
+    """A two-block avro epoch runs 2 ``route_events`` tasks and packs its
+    touched buckets into min(touched, CPUs) ``merge_bucket`` tasks; a
+    salted epoch adds one per hot bucket. The lineage still holds one row
+    per touched bucket, in bucket order, each timing its own merge."""
+    import ray
+
+    from gobblin_ray.engine import _bucket_ids
+
+    d = str(tmp_path_factory.mktemp("px_pack_corpus"))
+    events_dir = str(tmp_path_factory.mktemp("px_pack_events"))
+    parts = _avro_log(d, events_dir, 2)
+    lake = str(tmp_path_factory.mktemp("px_pack_lake"))
+    eng = CdcEngine(lake, events_dir, EngineConfig(
+        num_buckets=16, epoch_width=1_000, hot_factor=1.0, max_salt=4))
+    m0 = eng.bootstrap(f"{d}/pages.parquet")
+    log_meta = planmod.load_log_meta(events_dir)
+    ep1, ep2 = planmod.plan_epochs(log_meta, m0.high_seq, 1_000, 1)
+    cpus = int(ray.cluster_resources()["CPU"])
+
+    launched = _count_launches(monkeypatch)
+    first = eng._execute_epoch(ep1, m0, log_meta)
+    lineage = first["lineage"]
+    touched = set(_bucket_ids(parts[0].column("url"), 16).tolist())
+    assert [r["bucket"] for r in lineage] == sorted(touched)
+    assert launched["route_events"] == 2
+    assert launched["merge_bucket"] == min(len(touched), cpus) < len(touched)
+    secs = [r["merge_sec"] for r in lineage]
+    assert all(s > 0 for s in secs) and len(set(secs)) > 1
+
+    monkeypatch.undo()
+    eng.apply_epoch(ep1, m0, log_meta)
+    m1 = eng.store.latest()
+    launched = _count_launches(monkeypatch)
+    second = eng._execute_epoch(ep2, m1, log_meta)
+    hot = second["salt_map"]
+    assert hot and launched["salted_partial"] >= len(hot)
+    touched = {r["bucket"] for r in second["lineage"]}
+    assert len(second["lineage"]) == len(touched)
+    assert launched["merge_bucket"] <= min(len(touched - set(hot)), cpus) + len(hot)
+
+
+def test_kill_inside_packed_epoch_resumes_identically(ray_session,
+                                                      tmp_path_factory):
+    """A packed merge task that dies part way through its buckets (one
+    bucket's staged file cannot be written) fails the run; the resumed run
+    lands the same data files, byte for byte, as a run that never died."""
+    d = str(tmp_path_factory.mktemp("px_kill_corpus"))
+    events_dir = str(tmp_path_factory.mktemp("px_kill_events"))
+    _avro_log(d, events_dir, 3)
+    cfg = EngineConfig(num_buckets=16, epoch_width=1_000, pipeline_epochs=1)
+
+    def files(lake: str) -> dict[str, str]:
+        data = f"{lake}/data"
+        return {os.path.relpath(os.path.join(r, f), data):
+                hashlib.sha256(open(os.path.join(r, f), "rb").read()).hexdigest()
+                for r, _, fs in os.walk(data) for f in fs}
+
+    clean = str(tmp_path_factory.mktemp("px_kill_clean"))
+    eng = CdcEngine(clean, events_dir, cfg)
+    eng.bootstrap(f"{d}/pages.parquet")
+    eng.run(vacuum=False)
+    touched = [b for b in range(16)
+               if os.path.exists(ckpt.delta_path(clean, b, 2))]
+
+    lake = str(tmp_path_factory.mktemp("px_kill_lake"))
+    eng = CdcEngine(lake, events_dir, cfg)
+    eng.bootstrap(f"{d}/pages.parquet")
+    eng.run(max_epochs=1, vacuum=False)
+    blocker = ckpt.staging_path(lake, 2, max(touched), "delta")
+    os.makedirs(blocker)  # the last bucket of its task cannot be staged
+    with pytest.raises(Exception):
+        eng.run(vacuum=False)
+    assert eng.store.latest().epoch == 1
+    stage = os.path.dirname(blocker)
+    assert any(f.endswith(".delta.parquet") for f in os.listdir(stage))
+    os.rmdir(blocker)
+    eng.run(vacuum=False)
+    assert eng.store.latest().epoch == 3
+    assert files(lake) == files(clean)
