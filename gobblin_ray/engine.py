@@ -13,8 +13,9 @@ The Ray-Data-native re-expression of Gobblin's job lifecycle
         [hot bucket] salted_partial task per (bucket, salt): partial LWW
         merge_bucket tasks, min(touched buckets, CPUs) packed largest-first
           (+ one per hot bucket): merge each bucket -> staged parquet
-        promote staged files (idempotent)      # FsRenameCommitStep analog
-        commit manifest (atomic JSON)          # DatasetStateCommitStep analog
+        _commit (the one tail of every manifest writer):
+          promote staged files (idempotent)    # FsRenameCommitStep analog
+          fold counters, commit manifest       # DatasetStateCommitStep analog
 
 Heavy data never returns to the driver: slots travel between tasks by
 reference, merge tasks write bucket base files directly and return only
@@ -188,6 +189,53 @@ def _urls_by_bucket(urls, num_buckets: int) -> dict[int, list[str]]:
     for u, b in zip(uniq, _bucket_ids(pa.array(uniq, pa.string()), num_buckets)):
         by_bucket.setdefault(int(b), []).append(u)
     return by_bucket
+
+
+def _check_router(manifest: Manifest) -> None:
+    """Refuse a lake laid out by another url->bucket router. The hash IS
+    the physical layout: applying events, purging keys or looking them up
+    with a different router would go to the wrong bucket — silent
+    duplicates, undeletable rows, missed purges. ``rebucket`` rewrites the
+    lake under the current router; otherwise it must be re-bootstrapped."""
+    if manifest.bucket_hash != ckpt.BUCKET_HASH_VERSION:
+        raise RuntimeError(
+            f"lake was built with bucket router {manifest.bucket_hash!r} "
+            f"but this engine uses {ckpt.BUCKET_HASH_VERSION!r}; rebucket "
+            "or re-bootstrap the lake (bucket assignment is not portable "
+            "across hash versions)"
+        )
+
+
+def _idle_bucket(s: BucketState, high_seq: int) -> BucketState:
+    """A bucket that applies no events in a commit: files, zone map and
+    lineage carried, watermark at ``high_seq``, and the per-epoch salt-plan
+    inputs (``events_epoch``, ``merge_sec``, ``salt_carry``) zeroed."""
+    return dataclasses.replace(
+        s, high_seq=high_seq, events_epoch=0, merge_sec=0.0, salt_carry=0,
+        delta_epochs=list(s.delta_epochs), ts_ranges=dict(s.ts_ranges))
+
+
+def _fresh_buckets(lineage: list[dict], num_buckets: int, epoch: int,
+                   high_seq: int) -> dict[int, BucketState]:
+    """Bootstrap's and rebucket's layout: one fresh base per bucket the
+    exchange wrote, per-bucket lineage restarting at ``epoch`` (a load
+    applies no events, so ``events_epoch`` is 0 — salt_plan reads it as
+    "events applied THIS epoch"); a bucket that got no rows still gets a
+    watermark row."""
+    written = {int(r["bucket"]): r for r in lineage}
+    out = {}
+    for b in range(num_buckets):
+        r = written.get(b)
+        if r is None:
+            out[b] = BucketState(bucket=b, high_seq=high_seq, base_epoch=-1,
+                                 rows=0, events_applied=0)
+            continue
+        rng = ({"base": [int(r["ts_min"]), int(r["ts_max"])]}
+               if r.get("ts_min") is not None else {})
+        out[b] = BucketState(bucket=b, high_seq=high_seq, base_epoch=epoch,
+                             rows=int(r["rows"]), events_applied=0,
+                             ts_ranges=rng)
+    return out
 
 
 @dataclass
@@ -876,6 +924,70 @@ class CdcEngine:
             return nullcontext()
         return FileJobLock(os.path.join(self.lake_dir, "_locks"))
 
+    # ---------------- commit tail (every manifest writer) ----------------
+
+    @staticmethod
+    def _manifest(prev: Manifest | None, buckets: dict[int, BucketState],
+                  schema: pa.Schema | None = None, **overrides) -> Manifest:
+        """The one manifest builder. Every metadata field is forward-copied
+        from the predecessor ``prev`` — the next epoch at the SAME
+        watermark, with the same layout, schema, cumulative counters,
+        router stamp, renames and constraints — and ``overrides`` replaces
+        any of them (``schema`` sets the fingerprint and the IPC form
+        together). ``buckets`` is the writer's own bucket map. Carrying
+        every field at ONE site means a future Manifest field needs one
+        edit, and no writer can silently drop one. Bootstrap has no
+        predecessor and names every field."""
+        if schema is not None:
+            overrides.update(schema_fingerprint=schema_fingerprint(schema),
+                             schema_ipc=Manifest.encode_schema(schema))
+        unknown = set(overrides) - {f.name for f in dataclasses.fields(Manifest)}
+        if unknown:
+            raise TypeError(f"unknown overrides {sorted(unknown)}")
+        carried = {} if prev is None else dict(
+            epoch=prev.epoch + 1, low_seq=prev.high_seq,
+            high_seq=prev.high_seq, num_buckets=prev.num_buckets,
+            schema_fingerprint=prev.schema_fingerprint,
+            schema_ipc=prev.schema_ipc, metrics=dict(prev.metrics),
+            bucket_hash=prev.bucket_hash,
+            column_renames=dict(prev.column_renames),
+            constraints=dict(prev.constraints))
+        return Manifest(**{**carried, **overrides, "buckets": buckets})
+
+    def _commit(self, manifest: Manifest, staged=(),
+                counters: dict[str, int] | None = None, sidecar: bool = False,
+                event: tuple[str, dict] | None = None) -> Manifest:
+        """The one commit tail of every manifest writer — Gobblin's
+        SafeDatasetCommit running FsRenameCommitStep, then
+        DatasetStateCommitStep:
+
+        1. promote the ``staged`` entries (``ckpt.promote``) and, with
+           ``sidecar``, the near-dup index files staged for the epoch —
+           both idempotent, both BEFORE the manifest, so a crash in
+           between re-runs to the same files;
+        2. fold ``counters`` (name -> increment) into the cumulative
+           counters the builder carried from the predecessor, so a commit
+           made by another driver is never erased;
+        3. publish the manifest (``store.commit``: the commit point);
+        4. mirror the counters into the driver's MetricContext and emit
+           the writer's tracking event ``(name, metadata)``."""
+        ckpt.promote(self.lake_dir, manifest.epoch, staged)
+        if sidecar:
+            ckpt.promote_sidecar(
+                self.lake_dir, manifest.epoch, NEARDUP_STAGE_PREFIX,
+                os.path.join(self.lake_dir, NEARDUP_INDEX_DIR))
+        totals = dict(manifest.metrics)
+        for k, n in (counters or {}).items():
+            totals[k] = int(totals.get(k, 0)) + int(n)
+        manifest.metrics = dict(sorted(totals.items()))
+        self.store.commit(manifest)
+        for k, v in manifest.metrics.items():
+            self.metrics.inc(k, v - self.metrics.counter(k).value)
+        if event is not None:
+            name, meta = event
+            self.metrics.submit_event(name, epoch=manifest.epoch, **meta)
+        return manifest
+
     # ---------------- bootstrap (epoch 0: snapshot load) ----------------
 
     def bootstrap(self, pages_path: str) -> Manifest:
@@ -941,41 +1053,11 @@ class CdcEngine:
                               schema=base_schema),
             B, ("bootstrap_prepare", "bootstrap_route", "bootstrap_write"),
             verdicts=verdicts)
-        buckets_touched = [int(r["bucket"]) for r in lineage]
-        ckpt.promote(self.lake_dir, 0, buckets_touched)
-        if self.cfg.neardup_dedup:
-            ckpt.promote_sidecar(
-                self.lake_dir, 0, NEARDUP_STAGE_PREFIX,
-                os.path.join(self.lake_dir, NEARDUP_INDEX_DIR),
-            )
-        manifest = Manifest(
-            epoch=0,
-            low_seq=-1,
-            high_seq=-1,
-            num_buckets=B,
-            schema_fingerprint=schema_fingerprint(base_schema),
-            schema_ipc=Manifest.encode_schema(base_schema),
-        )
-        for r in lineage:
-            b = int(r["bucket"])
-            rng = (
-                [int(r["ts_min"]), int(r["ts_max"])]
-                if r.get("ts_min") is not None else None
-            )
-            manifest.buckets[b] = BucketState(
-                bucket=b, high_seq=-1, base_epoch=0, rows=int(r["rows"]),
-                events_applied=0, events_epoch=0,
-                ts_ranges={"base": rng} if rng else {},
-            )
-        # Buckets that received no snapshot rows still get a watermark row.
-        for b in range(B):
-            if b not in manifest.buckets:
-                manifest.buckets[b] = BucketState(
-                    bucket=b, high_seq=-1, base_epoch=-1, rows=0,
-                    events_applied=0, events_epoch=0,
-                )
-        self.store.commit(manifest)
-        return manifest
+        manifest = self._manifest(
+            None, _fresh_buckets(lineage, B, 0, -1), schema=base_schema,
+            epoch=0, low_seq=-1, high_seq=-1, num_buckets=B)
+        return self._commit(manifest, [int(r["bucket"]) for r in lineage],
+                            sidecar=self.cfg.neardup_dedup)
 
     # ---------------- epoch apply ----------------
 
@@ -1203,34 +1285,7 @@ class CdcEngine:
         promote_entries += [
             (b, "errors") for b, r in touched.items() if int(r["errors"]) > 0
         ]
-        ckpt.promote(self.lake_dir, epoch.index, sorted(promote_entries))
-        if execution.get("neardup"):
-            # Sidecar index joins the two-phase commit: promoted BEFORE the
-            # manifest write, so committed => indexed; promoted-but-
-            # uncommitted re-executes to identical staged files (full-
-            # pairwise within-epoch check makes re-run verdicts stable
-            # against the epoch's own promoted survivors).
-            ckpt.promote_sidecar(
-                self.lake_dir, epoch.index, NEARDUP_STAGE_PREFIX,
-                os.path.join(self.lake_dir, NEARDUP_INDEX_DIR),
-            )
-            self.metrics.inc(
-                "neardup_urls_diverted", int(execution.get("neardup_dups", 0))
-            )
-
-        new = Manifest(
-            epoch=epoch.index,
-            low_seq=epoch.low_seq,
-            high_seq=epoch.high_seq,
-            num_buckets=manifest.num_buckets,
-            schema_fingerprint=schema_fingerprint(base_schema),
-            schema_ipc=Manifest.encode_schema(base_schema),
-            # run() already refused a non-current router, so this equals
-            # BUCKET_HASH_VERSION — carried explicitly for the invariant
-            bucket_hash=manifest.bucket_hash,
-            column_renames=dict(manifest.column_renames),
-            constraints=dict(manifest.constraints),
-        )
+        buckets: dict[int, BucketState] = {}
         report = EpochReport(epoch.index, epoch.low_seq, epoch.high_seq)
         report.salted_buckets = execution["salted"]
         for b, prev in manifest.buckets.items():
@@ -1255,7 +1310,7 @@ class CdcEngine:
                     ts_ranges = dict(prev.ts_ranges)
                     if rng:
                         ts_ranges[str(epoch.index)] = rng
-                new.buckets[b] = BucketState(
+                buckets[b] = BucketState(
                     bucket=b,
                     high_seq=epoch.high_seq,
                     base_epoch=base_epoch,
@@ -1276,43 +1331,39 @@ class CdcEngine:
             else:
                 # Zero events this epoch: watermark carried forward,
                 # base file untouched (low == high in lineage terms).
-                new.buckets[b] = BucketState(
-                    bucket=b,
-                    high_seq=epoch.high_seq,
-                    base_epoch=prev.base_epoch,
-                    rows=prev.rows,
-                    events_applied=prev.events_applied,
-                    events_epoch=0,
-                    delta_epochs=list(prev.delta_epochs),
-                    delta_rows=prev.delta_rows,
-                    ts_ranges=dict(prev.ts_ranges),
-                )
-        new.event_count = report.events
-        new.error_count = report.errors
-        # Fold the cumulative counters into the manifest (the judge-visible
-        # metrics surface) and append an EpochCommitted tracking event.
-        self.metrics.inc("epochs_committed")
-        self.metrics.inc("events_applied", report.events)
-        self.metrics.inc("errors_diverted", report.errors)
-        self.metrics.inc("buckets_touched", report.buckets_touched)
-        self.metrics.inc("salted_buckets", report.salted_buckets)
-        self.metrics.inc(
-            "compactions",
-            sum(1 for r in touched.values() if r["kind"] == "base"),
-        )
+                buckets[b] = _idle_bucket(prev, epoch.high_seq)
+        counters = {
+            "epochs_committed": 1,
+            "events_applied": report.events,
+            "errors_diverted": report.errors,
+            "buckets_touched": report.buckets_touched,
+            "salted_buckets": report.salted_buckets,
+            "compactions": sum(
+                1 for r in touched.values() if r["kind"] == "base"),
+        }
         if redrive:
-            self.metrics.inc("errors_redriven", report.events)
-        new.metrics = self.metrics.counters()
-        self.store.commit(new)
+            counters["errors_redriven"] = report.events
+        if execution.get("neardup"):
+            counters["neardup_urls_diverted"] = int(
+                execution.get("neardup_dups", 0))
+        new = self._commit(
+            self._manifest(
+                manifest, buckets, schema=base_schema, epoch=epoch.index,
+                low_seq=epoch.low_seq, high_seq=epoch.high_seq,
+                event_count=report.events, error_count=report.errors),
+            sorted(promote_entries), counters,
+            # the near-dup index joins the two-phase commit: committed =>
+            # indexed; promoted-but-uncommitted re-executes to identical
+            # staged files (the full-pairwise within-epoch check keeps
+            # re-run verdicts stable against the epoch's own survivors)
+            sidecar=execution.get("neardup", False),
+            event=("EpochCommitted", dict(
+                low_seq=epoch.low_seq, high_seq=epoch.high_seq,
+                events=report.events, errors=report.errors,
+                buckets_touched=report.buckets_touched)))
         report.exec_sec = round(execution.get("exec_sec", 0.0), 3)
         report.commit_sec = round(_time.time() - _c0, 3)
         self.metrics.timer("commit").update(report.commit_sec)
-        self.metrics.submit_event(
-            "EpochCommitted",
-            epoch=epoch.index, low_seq=epoch.low_seq, high_seq=epoch.high_seq,
-            events=report.events, errors=report.errors,
-            buckets_touched=report.buckets_touched,
-        )
         return new, report
 
     def apply_epoch(
@@ -1352,18 +1403,7 @@ class CdcEngine:
         manifest = self.store.latest()
         if manifest is None:
             raise RuntimeError("lake not bootstrapped — call bootstrap(pages) first")
-        if manifest.bucket_hash != ckpt.BUCKET_HASH_VERSION:
-            # The url->bucket hash IS the lake's physical layout. Applying
-            # events with a different router would send updates/deletes for
-            # existing urls to the wrong bucket — silent duplicates and
-            # undeletable rows. Refuse loudly; the lake must be rebuilt
-            # (re-bootstrapped) under the new router.
-            raise RuntimeError(
-                f"lake was built with bucket router {manifest.bucket_hash!r} "
-                f"but this engine uses {ckpt.BUCKET_HASH_VERSION!r}; "
-                "re-bootstrap the lake (bucket assignment is not portable "
-                "across hash versions)"
-            )
+        _check_router(manifest)
         log_meta = planmod.load_log_meta(self.events_dir)
         if self.cfg.epoch_bytes is not None:
             epochs = planmod.plan_epochs_sized(
@@ -1754,6 +1794,7 @@ class CdcEngine:
         manifest = manifest or self.store.latest()
         if manifest is None:
             raise ValueError("lookup_urls needs a bootstrapped lake")
+        _check_router(manifest)
         schema = manifest.base_schema()
         empty = live_rows(conform(pa.table({}), schema))
         by_bucket = _urls_by_bucket(urls, manifest.num_buckets)
@@ -1786,30 +1827,12 @@ class CdcEngine:
         (a DDL must never silently upgrade a legacy lake's router version:
         run() refuses legacy routers, and re-stamping here would let the
         next run route NEW events with the new hash onto buckets laid out
-        by the old one). Every metadata field is carried by ONE site so a
-        future Manifest field needs one edit, not five."""
-        manifest = Manifest(
-            epoch=overrides.pop("epoch", m.epoch + 1),
-            low_seq=m.high_seq, high_seq=m.high_seq,
-            num_buckets=m.num_buckets,
-            schema_fingerprint=overrides.pop(
-                "schema_fingerprint", m.schema_fingerprint),
-            schema_ipc=overrides.pop("schema_ipc", m.schema_ipc),
-            metrics=dict(m.metrics),
-            bucket_hash=m.bucket_hash,
-            column_renames=overrides.pop(
-                "column_renames", dict(m.column_renames)),
-            constraints=overrides.pop("constraints", dict(m.constraints)),
-        )
-        if overrides:
-            raise TypeError(f"unknown overrides {sorted(overrides)}")
-        for b, s in m.buckets.items():
-            # a DDL applies no events and rewrites no file: the per-file
-            # zone map (ts_ranges) still describes the same files
-            manifest.buckets[b] = dataclasses.replace(
-                s, events_epoch=0, merge_sec=0.0, salt_carry=0,
-                delta_epochs=list(s.delta_epochs))
-        return manifest
+        by the old one). A DDL applies no events and rewrites no file, so
+        every bucket is idle and its zone map (``ts_ranges``) still
+        describes the same files. ``overrides`` as in ``_manifest``."""
+        return CdcEngine._manifest(
+            m, {b: _idle_bucket(s, m.high_seq) for b, s in m.buckets.items()},
+            **overrides)
 
     def drop_column(self, name: str) -> "Manifest":
         """Metadata-only DROP COLUMN (Iceberg UpdateSchema.deleteColumn
@@ -1840,25 +1863,16 @@ class CdcEngine:
                     f"{sorted(self._PROTECTED_COLUMNS)} are the router key, "
                     "LWW axes and tombstone marker"
                 )
-            epoch = m.epoch + 1
-            tomb = f"__dropped_{name}_e{epoch}"
+            tomb = f"__dropped_{name}_e{m.epoch + 1}"
             new_schema = pa.schema([f for f in schema if f.name != name])
             ren = {
                 k: (tomb if v == name else v)
                 for k, v in m.column_renames.items()
             }
             ren[name] = tomb
-            manifest = self._ddl_manifest(
-                m, epoch=epoch,
-                schema_fingerprint=schema_fingerprint(new_schema),
-                schema_ipc=Manifest.encode_schema(new_schema),
-                column_renames=ren,
-            )
-            self.store.commit(manifest)
-            self.metrics.submit_event(
-                "ColumnDropped", epoch=manifest.epoch, column=name,
-            )
-            return manifest
+            return self._commit(
+                self._ddl_manifest(m, schema=new_schema, column_renames=ren),
+                event=("ColumnDropped", {"column": name}))
 
     def rename_column(self, old: str, new: str) -> "Manifest":
         """Metadata-only column rename — the Iceberg ``RENAME COLUMN``
@@ -1916,17 +1930,9 @@ class CdcEngine:
             }
             ren[old] = new
             ren = {k: v for k, v in ren.items() if k != v}
-            manifest = self._ddl_manifest(
-                m,
-                schema_fingerprint=schema_fingerprint(new_schema),
-                schema_ipc=Manifest.encode_schema(new_schema),
-                column_renames=ren,
-            )
-            self.store.commit(manifest)
-            self.metrics.submit_event(
-                "ColumnRenamed", epoch=manifest.epoch, old=old, new=new,
-            )
-            return manifest
+            return self._commit(
+                self._ddl_manifest(m, schema=new_schema, column_renames=ren),
+                event=("ColumnRenamed", {"old": old, "new": new}))
 
     def add_constraint(self, name: str, spec: dict) -> "Manifest":
         """Persist a table constraint (Delta ``ALTER TABLE ADD CONSTRAINT``
@@ -1973,13 +1979,11 @@ class CdcEngine:
                     "violate it (fix or purge them first)")
             cons = dict(m.constraints)
             cons[name] = spec
-            manifest = self._ddl_manifest(m, constraints=cons)
-            self.store.commit(manifest)
-            self.metrics.submit_event(
-                "ConstraintAdded", epoch=manifest.epoch,
-                constraint=name, kind=spec["kind"], column=spec["column"],
-            )
-            return manifest
+            return self._commit(
+                self._ddl_manifest(m, constraints=cons),
+                event=("ConstraintAdded", {"constraint": name,
+                                           "kind": spec["kind"],
+                                           "column": spec["column"]}))
 
     def drop_constraint(self, name: str) -> "Manifest":
         """Drop a persisted constraint (metadata-only; quarantined rows
@@ -1990,12 +1994,9 @@ class CdcEngine:
                 have = sorted(m.constraints) if m else []
                 raise ValueError(f"unknown constraint {name!r} (have {have})")
             cons = {k: v for k, v in m.constraints.items() if k != name}
-            manifest = self._ddl_manifest(m, constraints=cons)
-            self.store.commit(manifest)
-            self.metrics.submit_event(
-                "ConstraintDropped", epoch=manifest.epoch, constraint=name,
-            )
-            return manifest
+            return self._commit(
+                self._ddl_manifest(m, constraints=cons),
+                event=("ConstraintDropped", {"constraint": name}))
 
     def rebucket(self, new_buckets: int) -> "Manifest":
         """Bucket-count migration (partition evolution — the operational
@@ -2033,38 +2034,14 @@ class CdcEngine:
                 functools.partial(_write_rebucketed, lake_dir=lake_dir,
                                   epoch=epoch),
                 B, (None, "rebucket_route", "rebucket_write"))
-            buckets_touched = [int(r["bucket"]) for r in lineage]
-            ckpt.promote(lake_dir, epoch, buckets_touched)
-            manifest = Manifest(
-                epoch=epoch,
-                low_seq=m.high_seq,
-                high_seq=m.high_seq,
-                num_buckets=B,
-                schema_fingerprint=m.schema_fingerprint,
-                schema_ipc=m.schema_ipc,
-                metrics=dict(m.metrics),
-                # every bucket was rewritten with CURRENT column names above,
-                # so the stored-name rename map is spent
-                column_renames={},
-                constraints=dict(m.constraints),
-            )
-            # events_epoch = 0: a migration applies no events, and salt_plan
-            # reads this field as "events applied THIS epoch" — the epoch
-            # NUMBER here would mark every bucket uniformly (wrongly) hot
-            for r in lineage:
-                b = int(r["bucket"])
-                manifest.buckets[b] = BucketState(
-                    bucket=b, high_seq=m.high_seq, base_epoch=epoch,
-                    rows=int(r["rows"]), events_applied=0, events_epoch=0,
-                )
-            for b in range(B):
-                if b not in manifest.buckets:
-                    manifest.buckets[b] = BucketState(
-                        bucket=b, high_seq=m.high_seq, base_epoch=-1, rows=0,
-                        events_applied=0, events_epoch=0,
-                    )
-            self.store.commit(manifest)
-            return manifest
+            # every row was re-routed by the CURRENT router and rewritten
+            # with CURRENT column names, so the lake takes this engine's
+            # router stamp and the stored-name rename map is spent
+            manifest = self._manifest(
+                m, _fresh_buckets(lineage, B, epoch, m.high_seq),
+                num_buckets=B, bucket_hash=ckpt.BUCKET_HASH_VERSION,
+                column_renames={})
+            return self._commit(manifest, [int(r["bucket"]) for r in lineage])
 
     def compact_now(self) -> "Manifest":
         """Forced full compaction — the reference runs compaction as its
@@ -2089,7 +2066,6 @@ class CdcEngine:
             dirty = {b: s for b, s in m.buckets.items() if s.delta_epochs}
             if not dirty:
                 return m  # nothing outstanding — no new epoch
-            epoch = m.epoch + 1
             specs = [
                 {"bucket": b, "files": ckpt.bucket_files(self.lake_dir, s)}
                 for b, s in sorted(dirty.items())
@@ -2097,14 +2073,12 @@ class CdcEngine:
             # the merged state as it stands, tombstones retained — late
             # events must still lose
             lineage = self._rewrite_buckets(
-                specs, lambda t, spec: (t, 0), "compact_bucket", m, epoch)
-            manifest = self._commit_maintenance_epoch(
-                m, epoch, lineage,
-                {"forced_compactions": 1, "compactions": len(lineage)})
-            self.metrics.submit_event(
-                "ForcedCompaction", epoch=epoch, buckets=len(lineage),
-            )
-            return manifest
+                specs, lambda t, spec: (t, 0), "compact_bucket", m,
+                m.epoch + 1)
+            return self._commit_maintenance_epoch(
+                m, lineage,
+                {"forced_compactions": 1, "compactions": len(lineage)},
+                ("ForcedCompaction", {"buckets": len(lineage)}))
 
     def redrive_errors(self, fixer=None, epochs: list[int] | None = None,
                        consume: bool = True) -> dict:
@@ -2141,6 +2115,7 @@ class CdcEngine:
         manifest = self.store.latest()
         if manifest is None:
             raise RuntimeError("lake not bootstrapped")
+        _check_router(manifest)  # the redrive epoch routes like run()
         err_root = os.path.join(self.lake_dir, "_errors")
         src_files: list[str] = []
         if os.path.isdir(err_root):
@@ -2249,7 +2224,7 @@ class CdcEngine:
         lake; None leaves the bucket untouched. Returns the lineage: one
         ``{bucket, rows, count, staged}`` row per spec, in spec order
         (O(buckets) driver state), which ``_commit_maintenance_epoch``
-        commits. If a task raises, every task of the call finishes before
+        hands to the commit tail. If a task raises, every task of the call finishes before
         the first error is re-raised with its type, so none is still
         staging into ``epoch`` when a later command reuses it."""
         import ray
@@ -2267,46 +2242,32 @@ class CdcEngine:
         ray.wait(refs, num_returns=len(refs))
         return ray.get(refs)
 
-    def _commit_maintenance_epoch(self, m: Manifest, epoch: int, lineage,
-                                  metrics: dict[str, int]) -> Manifest:
-        """Shared commit tail of the bucket-rewrite commands (compaction,
-        update/delete, purge): promote the buckets ``_rewrite_buckets``
-        staged and commit a manifest at the SAME watermark — layout, router
-        stamp, renames and constraints carried forward; untouched buckets
-        keep their (possibly pre-rename) files. ``metrics`` maps counter ->
-        increment, added to the manifest's cumulative counters and the
-        driver's. (checkpoint.sweep_unreferenced records why this must live
-        once: near-identical commit blocks diverge on fixes.)"""
+    def _commit_maintenance_epoch(self, m: Manifest, lineage,
+                                  counters: dict[str, int],
+                                  event: tuple[str, dict] | None = None
+                                  ) -> Manifest:
+        """Commit the buckets ``_rewrite_buckets`` staged into epoch
+        ``m.epoch + 1`` at the SAME watermark (compaction, update/delete,
+        purge, repair): a rewritten bucket is one fresh base — deltas and
+        zone map gone, lineage count kept; every other bucket keeps its
+        BucketState as-is, (possibly pre-rename) files included.
+        ``counters`` and ``event`` go to ``_commit``."""
         staged = [r for r in lineage if r["staged"]]
-        ckpt.promote(self.lake_dir, epoch, [int(r["bucket"]) for r in staged])
-        manifest = Manifest(
-            epoch=epoch, low_seq=m.high_seq, high_seq=m.high_seq,
-            num_buckets=m.num_buckets,
-            schema_fingerprint=m.schema_fingerprint,
-            schema_ipc=m.schema_ipc, metrics=dict(m.metrics),
-            bucket_hash=m.bucket_hash,
-            column_renames=dict(m.column_renames),
-            constraints=dict(m.constraints),
-        )
-        for b, s in m.buckets.items():
-            manifest.buckets[b] = s
+        buckets = dict(m.buckets)
         for r in staged:
             b = int(r["bucket"])
             old = m.buckets[b]
             # events_epoch is the salt-plan input ("events applied THIS
             # epoch") — a rewrite applies none; writing the epoch NUMBER
             # here once made salt_plan flag rewritten buckets as hot
-            manifest.buckets[b] = BucketState(
-                bucket=b, high_seq=old.high_seq, base_epoch=epoch,
+            buckets[b] = BucketState(
+                bucket=b, high_seq=old.high_seq, base_epoch=m.epoch + 1,
                 rows=int(r["rows"]),
                 events_applied=old.events_applied, events_epoch=0,
             )
-        for k, n in metrics.items():
-            manifest.metrics[k] = int(manifest.metrics.get(k, 0)) + n
-        self.store.commit(manifest)
-        for k, n in metrics.items():
-            self.metrics.inc(k, n)
-        return manifest
+        return self._commit(self._manifest(m, buckets),
+                            [int(r["bucket"]) for r in staged], counters,
+                            event=event)
 
     def update_where(self, predicate, assign) -> dict:
         """In-place UPDATE ... WHERE DML over the lake — the Delta Lake
@@ -2404,11 +2365,8 @@ class CdcEngine:
                 return {"epoch": m.epoch, "updated": 0, "buckets": 0}
             total = sum(int(r["count"]) for r in touched)
             self._commit_maintenance_epoch(
-                m, epoch, lineage, {"dml_updated_rows": total})
-            self.metrics.submit_event(
-                "UpdateWhere", epoch=epoch, updated=total,
-                buckets=len(touched),
-            )
+                m, lineage, {"dml_updated_rows": total},
+                ("UpdateWhere", {"updated": total, "buckets": len(touched)}))
             return {"epoch": epoch, "updated": total,
                     "buckets": len(touched)}
 
@@ -2449,11 +2407,8 @@ class CdcEngine:
                 return {"epoch": m.epoch, "deleted": 0, "buckets": 0}
             total = sum(int(r["count"]) for r in touched)
             self._commit_maintenance_epoch(
-                m, epoch, lineage, {"dml_deleted_rows": total})
-            self.metrics.submit_event(
-                "DeleteWhere", epoch=epoch, deleted=total,
-                buckets=len(touched),
-            )
+                m, lineage, {"dml_deleted_rows": total},
+                ("DeleteWhere", {"deleted": total, "buckets": len(touched)}))
             return {"epoch": epoch, "deleted": total,
                     "buckets": len(touched)}
 
@@ -2489,6 +2444,7 @@ class CdcEngine:
             m = self.store.latest()
             if m is None:
                 raise ValueError("purge_keys needs a bootstrapped lake")
+            _check_router(m)
             urls = sorted(set(urls))
             if not urls:
                 raise ValueError("no keys to purge")
@@ -2516,7 +2472,7 @@ class CdcEngine:
             touched = [int(r["bucket"]) for r in lineage]
             total_purged = sum(int(r["count"]) for r in lineage)
             manifest = self._commit_maintenance_epoch(
-                m, epoch, lineage,
+                m, lineage,
                 {"purged_rows": total_purged, "purged_keys": len(urls)})
             # The _errors/ quarantine (and its _redriven archive) stages
             # FULL diverted rows — url, html, text — so a compliant purge

@@ -16,9 +16,12 @@ Shape:
   bucket router already co-locates state); each task returns one small
   lineage row. Driver state is O(buckets).
 - ``repair``: digests both sides, rewrites only MISMATCHED buckets from
-  the source's merged state, and commits on the destination as a
-  maintenance epoch (watermark PINNED, same posture as compact_now).
-  A ``dry_run`` is the pure verification job.
+  the source's merged state into the destination's staging area, and
+  commits them with the destination engine's
+  ``_commit_maintenance_epoch`` — the same commit tail as compact_now
+  (watermark PINNED, ``repairs`` counter folded into the manifest). It
+  builds no manifest of its own. A ``dry_run`` is the pure verification
+  job.
 
 Digest definition (content, not bytes): an ORDER-INDEPENDENT uint64 sum
 of per-row content hashes (profile._row_hash_u64 — deterministic across
@@ -45,8 +48,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from . import checkpoint as ckpt
 
 _IDENTITY = ["url", "warc_ts", "event_seq", "is_deleted"]
 
@@ -109,8 +110,6 @@ def repair(src_eng, dst_eng, dry_run: bool = False) -> dict:
     the repaired base IS the full state). Idempotent: a second call finds
     zero mismatches. Returns ``{"checked", "mismatched", "repaired",
     "rows_written"}`` with ``mismatched`` as the sorted bucket list."""
-    from .checkpoint import BucketState, Manifest
-
     with dst_eng._job_lock():
         m_src = src_eng.store.latest()
         m_dst = dst_eng.store.latest()
@@ -128,42 +127,13 @@ def repair(src_eng, dst_eng, dry_run: bool = False) -> dict:
         if dry_run or not mismatched:
             return report
 
-        epoch = m_dst.epoch + 1
         src_map = src_eng.bucket_file_map(m_src)
         specs = [{"bucket": b, "files": src_map[b]} for b in mismatched]
         # the source's merged state, staged into the destination lake
         lineage = dst_eng._rewrite_buckets(
-            specs, lambda t, spec: (t, 0), "repair_bucket", m_src, epoch)
-        touched = [int(r["bucket"]) for r in lineage]
-        ckpt.promote(dst_eng.lake_dir, epoch, touched)
-        manifest = Manifest(
-            epoch=epoch, low_seq=m_dst.high_seq, high_seq=m_dst.high_seq,
-            num_buckets=m_dst.num_buckets,
-            schema_fingerprint=m_dst.schema_fingerprint,
-            schema_ipc=m_dst.schema_ipc, metrics=dict(m_dst.metrics),
-            bucket_hash=m_dst.bucket_hash,
-            column_renames=dict(m_dst.column_renames),
-            constraints=dict(m_dst.constraints),
-        )
-        for b, s in m_dst.buckets.items():
-            manifest.buckets[b] = s
-        for r in lineage:
-            b = int(r["bucket"])
-            old_high = max(
-                m_dst.buckets[b].high_seq if b in m_dst.buckets else -1,
-                m_src.buckets[b].high_seq if b in m_src.buckets else -1,
-            )
-            prev = m_dst.buckets.get(b)
-            manifest.buckets[b] = BucketState(
-                bucket=b, high_seq=old_high, base_epoch=epoch,
-                rows=int(r["rows"]),
-                events_applied=(prev.events_applied if prev else 0),
-                events_epoch=0,
-            )
-        manifest.metrics["repairs"] = (
-            int(manifest.metrics.get("repairs", 0)) + 1)
-        dst_eng.store.commit(manifest)
-        dst_eng.metrics.inc("repairs")  # later commits carry the counter
-        report["repaired"] = len(touched)
+            specs, lambda t, spec: (t, 0), "repair_bucket", m_src,
+            m_dst.epoch + 1)
+        dst_eng._commit_maintenance_epoch(m_dst, lineage, {"repairs": 1})
+        report["repaired"] = len(lineage)
         report["rows_written"] = int(sum(r["rows"] for r in lineage))
         return report
